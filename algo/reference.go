@@ -174,3 +174,60 @@ func GreedySetCover(g *graphit.Graph) ([]bool, int, error) {
 	}
 	return chosen, numChosen, nil
 }
+
+// GreedyWeightedSetCover is the sequential cost-effectiveness greedy used
+// as the quality yardstick for WeightedSetCover.
+func GreedyWeightedSetCover(g *graphit.Graph, costs []int64) ([]bool, int64, error) {
+	if !g.Symmetric() {
+		return nil, 0, fmt.Errorf("algo: set cover requires a symmetrized graph")
+	}
+	n := g.NumVertices()
+	covered := make([]bool, n)
+	chosen := make([]bool, n)
+	numCovered := 0
+	var totalCost int64
+	recount := func(s uint32) int64 {
+		var c int64
+		if !covered[s] {
+			c++
+		}
+		for _, e := range g.OutNeigh(s) {
+			if !covered[e] {
+				c++
+			}
+		}
+		return c
+	}
+	for numCovered < n {
+		best, bestRatio := -1, float64(-1)
+		for s := 0; s < n; s++ {
+			if chosen[s] {
+				continue
+			}
+			c := recount(uint32(s))
+			if c == 0 {
+				continue
+			}
+			r := float64(c) / float64(costs[s])
+			if r > bestRatio {
+				best, bestRatio = s, r
+			}
+		}
+		if best < 0 {
+			return nil, 0, fmt.Errorf("algo: greedy stuck with %d uncovered", n-numCovered)
+		}
+		chosen[best] = true
+		totalCost += costs[best]
+		mark := func(e uint32) {
+			if !covered[e] {
+				covered[e] = true
+				numCovered++
+			}
+		}
+		mark(uint32(best))
+		for _, e := range g.OutNeigh(uint32(best)) {
+			mark(e)
+		}
+	}
+	return chosen, totalCost, nil
+}

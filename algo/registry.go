@@ -140,14 +140,14 @@ var specs = []*Spec{
 	{
 		Name: "bellmanford", Kind: KindDist, NeedsWeights: true, Exact: true,
 		Run: func(ctx context.Context, g *graphit.Graph, src, _ graphit.VertexID, sched graphit.Schedule) (*QueryResult, error) {
-			return fromSSSP(BellmanFordContext(ctx, g, src))
+			return fromSSSP(BellmanFordContext(ctx, g, src, sched))
 		},
 		Ref: refDijkstra,
 	},
 	{
 		Name: "kcore-unordered", Kind: KindCoreness, NeedsSymmetric: true, Exact: true,
-		Run: func(ctx context.Context, g *graphit.Graph, _, _ graphit.VertexID, _ graphit.Schedule) (*QueryResult, error) {
-			return fromKCore(UnorderedKCoreContext(ctx, g))
+		Run: func(ctx context.Context, g *graphit.Graph, _, _ graphit.VertexID, sched graphit.Schedule) (*QueryResult, error) {
+			return fromKCore(UnorderedKCoreContext(ctx, g, sched))
 		},
 		Ref: refKCore,
 	},

@@ -2,6 +2,8 @@ package algo
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"graphit"
@@ -113,5 +115,124 @@ func TestSetCoverRejectsCoarseningAndDirected(t *testing.T) {
 	}
 	if _, err := SetCover(dg, graphit.DefaultSchedule()); err == nil {
 		t.Error("expected error for set cover on a directed graph")
+	}
+}
+
+func setCosts(n int, seed int64) []int64 {
+	rng := rand.New(rand.NewSource(seed))
+	costs := make([]int64, n)
+	for i := range costs {
+		costs[i] = int64(1 + rng.Intn(20))
+	}
+	return costs
+}
+
+func TestWeightedSetCoverCoversUniverse(t *testing.T) {
+	for gname, g := range symGraphs(t) {
+		n := g.NumVertices()
+		costs := setCosts(n, 77)
+		res, err := WeightedSetCover(g, costs, graphit.DefaultSchedule())
+		if err != nil {
+			t.Fatalf("%s: %v", gname, err)
+		}
+		for e := 0; e < n; e++ {
+			s := res.CoveredBy[e]
+			if s < 0 {
+				t.Fatalf("%s: element %d uncovered", gname, e)
+			}
+			if !res.Chosen[s] || !setContains(g, uint32(s), uint32(e)) {
+				t.Fatalf("%s: element %d covered invalidly by %d", gname, e, s)
+			}
+		}
+	}
+}
+
+func TestWeightedSetCoverNearGreedyCost(t *testing.T) {
+	g := symGraphs(t)["rmat"]
+	costs := setCosts(g.NumVertices(), 13)
+	res, err := WeightedSetCover(g, costs, graphit.DefaultSchedule())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, greedyCost, err := GreedyWeightedSetCover(g, costs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parCost := CoverCost(res, costs)
+	if parCost > 4*greedyCost {
+		t.Errorf("parallel cost %d vs greedy %d (> 4x)", parCost, greedyCost)
+	}
+	t.Logf("parallel cost %d, greedy cost %d, rounds %d", parCost, greedyCost, res.Stats.Rounds)
+}
+
+func TestWeightedSetCoverUnitCostsMatchUnweightedShape(t *testing.T) {
+	// All-ones costs scale every priority by the fixed-point precision, which
+	// preserves the bucket order and every commit decision, so the weighted
+	// path must pick exactly the unweighted cover in the same rounds.
+	for gname, g := range symGraphs(t) {
+		unit := make([]int64, g.NumVertices())
+		for i := range unit {
+			unit[i] = 1
+		}
+		for _, nb := range []int{0, 4, 128} {
+			sched := graphit.DefaultSchedule().ConfigNumWorkers(1)
+			if nb > 0 {
+				sched = sched.ConfigNumBuckets(nb)
+			}
+			w, err := WeightedSetCover(g, unit, sched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			u, err := SetCover(g, sched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(w.Chosen, u.Chosen) || w.Stats.Rounds != u.Stats.Rounds {
+				t.Errorf("%s/buckets=%d: unit-cost cover %d sets in %d rounds, unweighted %d sets in %d rounds",
+					gname, nb, w.NumChosen, w.Stats.Rounds, u.NumChosen, u.Stats.Rounds)
+			}
+		}
+	}
+}
+
+func TestWeightedSetCoverPrefersCheapSets(t *testing.T) {
+	// A star graph: hub 0 covers everything; leaves cover only themselves
+	// and the hub. With a cheap hub, the cover should be just the hub; with
+	// an exorbitant hub, the leaves win.
+	var edges []graphit.Edge
+	const n = 50
+	for v := graphit.VertexID(1); v < n; v++ {
+		edges = append(edges, graphit.Edge{Src: 0, Dst: v, W: 1})
+	}
+	g, err := graphit.BuildGraph(edges, graphit.BuildOptions{Symmetrize: true, Weighted: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cheapHub := make([]int64, n)
+	for i := range cheapHub {
+		cheapHub[i] = 100
+	}
+	cheapHub[0] = 1
+	res, err := WeightedSetCover(g, cheapHub, graphit.DefaultSchedule())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Chosen[0] {
+		t.Error("cheap hub not chosen")
+	}
+	if CoverCost(res, cheapHub) > 101 {
+		t.Errorf("cover cost %d; the cheap hub alone costs 1", CoverCost(res, cheapHub))
+	}
+}
+
+func TestWeightedSetCoverRejectsBadInput(t *testing.T) {
+	g := symGraphs(t)["rmat"]
+	if _, err := WeightedSetCover(g, make([]int64, 3), graphit.DefaultSchedule()); err == nil {
+		t.Error("wrong cost length accepted")
+	}
+	costs := setCosts(g.NumVertices(), 1)
+	costs[5] = 0
+	if _, err := WeightedSetCover(g, costs, graphit.DefaultSchedule()); err == nil {
+		t.Error("zero cost accepted")
 	}
 }

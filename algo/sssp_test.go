@@ -191,11 +191,13 @@ func TestHybridDirectionSwitches(t *testing.T) {
 
 // TestNoDedupStillCorrectButInsertsMore: disabling deduplication keeps
 // results exact (extraction-time dedup) while performing at least as many
-// bucket insertions.
+// bucket insertions. Both runs use one worker: insertion counts of
+// parallel runs depend on the interleaving, so only same-order runs are
+// comparable.
 func TestNoDedupStillCorrectButInsertsMore(t *testing.T) {
 	g := testGraphs(t)["rmat"]
 	src := graphit.VertexID(1)
-	base := graphit.DefaultSchedule().ConfigApplyPriorityUpdate("lazy").ConfigApplyPriorityUpdateDelta(64)
+	base := graphit.DefaultSchedule().ConfigApplyPriorityUpdate("lazy").ConfigApplyPriorityUpdateDelta(64).ConfigNumWorkers(1)
 	with, err := SSSP(g, src, base)
 	if err != nil {
 		t.Fatal(err)

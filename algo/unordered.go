@@ -7,7 +7,7 @@ import (
 
 	"graphit"
 	"graphit/internal/atomicutil"
-	"graphit/internal/parallel"
+	"graphit/internal/core"
 )
 
 // BellmanFord computes single-source shortest paths with the unordered
@@ -16,59 +16,63 @@ import (
 // out-edges of the entire active frontier regardless of priority,
 // performing redundant work that ∆-stepping avoids.
 func BellmanFord(g *graphit.Graph, src graphit.VertexID) (*SSSPResult, error) {
-	return BellmanFordContext(context.Background(), g, src)
+	return BellmanFordContext(context.Background(), g, src, graphit.DefaultSchedule())
 }
 
-// BellmanFordContext is BellmanFord under a context: cancellation is checked
-// at every round barrier and returns the partial distance vector together
-// with ctx.Err().
-func BellmanFordContext(ctx context.Context, g *graphit.Graph, src graphit.VertexID) (*SSSPResult, error) {
+// BellmanFordContext is BellmanFord under a context and a schedule: the run
+// executes on the schedule's worker count inside the engine's fault
+// envelope (core.RunLoop), and cancellation is checked at every round
+// barrier, returning the partial distance vector together with ctx.Err().
+// The schedule's priority-update options do not apply.
+func BellmanFordContext(ctx context.Context, g *graphit.Graph, src graphit.VertexID, sched graphit.Schedule) (*SSSPResult, error) {
 	if err := checkWeighted(g); err != nil {
 		return nil, err
 	}
-	n := g.NumVertices()
-	dist := initDist(n, src)
-	dedup := atomicutil.NewFlags(n)
-	frontier := []uint32{src}
-	var st graphit.Stats
-	var runErr error
-	w := parallel.Workers()
-	outs := make([][]uint32, w)
-
-	for len(frontier) > 0 {
-		if err := ctx.Err(); err != nil {
-			runErr = err
-			break
-		}
-		st.Rounds++
-		st.GlobalSyncs++
-		var relax int64
-		parallel.ForChunks(len(frontier), 0, func(lo, hi, worker int) {
-			var local int64
-			for _, s := range frontier[lo:hi] {
-				ds := atomicutil.Load(&dist[s])
-				neigh := g.OutNeigh(s)
-				wts := g.OutWts(s)
-				for i, d := range neigh {
-					local++
-					if atomicutil.WriteMin(&dist[d], ds+int64(wts[i])) && dedup.TrySet(d) {
-						outs[worker] = append(outs[worker], d)
-					}
-				}
-			}
-			atomicAdd(&relax, local)
-		})
-		st.Relaxations += relax
-		var next []uint32
-		for i := range outs {
-			next = append(next, outs[i]...)
-			outs[i] = outs[i][:0]
-		}
-		dedup.ResetList(next)
-		st.Processed += int64(len(frontier))
-		frontier = next
+	cfg, err := sched.Config()
+	if err != nil {
+		return nil, err
 	}
-	return &SSSPResult{Dist: dist, Stats: st}, runErr
+	n := g.NumVertices()
+	var dist []int64
+	st, err := core.RunLoop(ctx, cfg, loopInfo("unordered", g, 1), func(workers int) core.Loop {
+		dist = initDist(n, src)
+		dedup := atomicutil.NewFlags(n)
+		frontier := []uint32{src}
+		outs := make([][]uint32, workers)
+		return core.Loop{
+			Next: func() bool { return len(frontier) > 0 },
+			Round: func(r *core.Round) {
+				r.Frontier = len(frontier)
+				r.Stats.GlobalSyncs++
+				var relax atomic.Int64
+				r.ForChunks(len(frontier), func(lo, hi, worker int) {
+					var local int64
+					for _, s := range frontier[lo:hi] {
+						ds := atomicutil.Load(&dist[s])
+						neigh := g.OutNeigh(s)
+						wts := g.OutWts(s)
+						for i, d := range neigh {
+							local++
+							if atomicutil.WriteMin(&dist[d], ds+int64(wts[i])) && dedup.TrySet(d) {
+								outs[worker] = append(outs[worker], d)
+							}
+						}
+					}
+					relax.Add(local)
+				})
+				r.Stats.Relaxations += relax.Load()
+				var next []uint32
+				for i := range outs {
+					next = append(next, outs[i]...)
+					outs[i] = outs[i][:0]
+				}
+				dedup.ResetList(next)
+				r.Stats.Processed += int64(len(frontier))
+				frontier = next
+			},
+		}
+	})
+	return &SSSPResult{Dist: dist, Stats: st}, err
 }
 
 // UnorderedKCore computes coreness with the unordered peeling baseline
@@ -76,68 +80,82 @@ func BellmanFordContext(ctx context.Context, g *graphit.Graph, src graphit.Verte
 // vertices for those with induced degree <= k, without any bucketing, so
 // every peel level pays a full-vertex-set scan.
 func UnorderedKCore(g *graphit.Graph) (*KCoreResult, error) {
-	return UnorderedKCoreContext(context.Background(), g)
+	return UnorderedKCoreContext(context.Background(), g, graphit.DefaultSchedule())
 }
 
-// UnorderedKCoreContext is UnorderedKCore under a context: cancellation is
-// checked at every peel round and returns the partially peeled coreness
-// vector together with ctx.Err().
-func UnorderedKCoreContext(ctx context.Context, g *graphit.Graph) (*KCoreResult, error) {
+// UnorderedKCoreContext is UnorderedKCore under a context and a schedule,
+// run like BellmanFordContext: cancellation is checked at every peel round
+// and returns the partially peeled coreness vector together with
+// ctx.Err().
+func UnorderedKCoreContext(ctx context.Context, g *graphit.Graph, sched graphit.Schedule) (*KCoreResult, error) {
 	if !g.Symmetric() {
 		return nil, fmt.Errorf("algo: k-core requires a symmetrized graph")
 	}
-	n := g.NumVertices()
-	deg := make([]int64, n)
-	alive := make([]bool, n)
-	maxDeg := int64(0)
-	for v := 0; v < n; v++ {
-		deg[v] = int64(g.OutDegree(graphit.VertexID(v)))
-		alive[v] = true
-		if deg[v] > maxDeg {
-			maxDeg = deg[v]
-		}
+	cfg, err := sched.Config()
+	if err != nil {
+		return nil, err
 	}
-	core := make([]int64, n)
-	var st graphit.Stats
-	remaining := n
-	var runErr error
-	for k := int64(0); k <= maxDeg && remaining > 0 && runErr == nil; k++ {
-		for {
-			if err := ctx.Err(); err != nil {
-				runErr = err
-				break
+	n := g.NumVertices()
+	var coreness []int64
+	st, err := core.RunLoop(ctx, cfg, loopInfo("unordered", g, n), func(int) core.Loop {
+		deg := make([]int64, n)
+		alive := make([]bool, n)
+		maxDeg := int64(0)
+		for v := 0; v < n; v++ {
+			deg[v] = int64(g.OutDegree(graphit.VertexID(v)))
+			alive[v] = true
+			if deg[v] > maxDeg {
+				maxDeg = deg[v]
 			}
-			st.Rounds++
-			st.GlobalSyncs++
-			// Full scan: collect alive vertices with degree <= k.
-			ids := parallel.IotaU32(n)
-			st.Relaxations += int64(n) // scan cost: one check per vertex
-			peel := parallel.PackU32(ids, func(i int) bool {
-				return alive[i] && deg[i] <= k
-			})
-			if len(peel) == 0 {
-				break
-			}
-			for _, v := range peel {
-				alive[v] = false
-				core[v] = k
-			}
-			parallel.ForChunks(len(peel), 0, func(lo, hi, _ int) {
-				for _, v := range peel[lo:hi] {
-					for _, d := range g.OutNeigh(v) {
-						if alive[d] {
-							atomicAdd(&deg[d], -1)
+		}
+		coreness = make([]int64, n)
+		remaining := n
+		// Each level k rescans until a scan peels nothing; a new level
+		// starts only while vertices remain.
+		k, newLevel := int64(0), true
+		return core.Loop{
+			Next: func() bool { return !newLevel || (k <= maxDeg && remaining > 0) },
+			Round: func(r *core.Round) {
+				r.Bucket = k
+				r.Stats.GlobalSyncs++
+				// Full scan: collect alive vertices with degree <= k.
+				r.Stats.Relaxations += int64(n) // scan cost: one check per vertex
+				peel := r.Filter(n, func(v int) bool { return alive[v] && deg[v] <= k })
+				r.Frontier = len(peel)
+				newLevel = len(peel) == 0
+				if newLevel {
+					k++
+					return
+				}
+				for _, v := range peel {
+					alive[v] = false
+					coreness[v] = k
+				}
+				r.ForChunks(len(peel), func(lo, hi, _ int) {
+					for _, v := range peel[lo:hi] {
+						for _, d := range g.OutNeigh(v) {
+							if alive[d] {
+								atomic.AddInt64(&deg[d], -1)
+							}
 						}
 					}
-				}
-			})
-			remaining -= len(peel)
-			st.Processed += int64(len(peel))
+				})
+				remaining -= len(peel)
+				r.Stats.Processed += int64(len(peel))
+			},
 		}
-	}
-	return &KCoreResult{Coreness: core, Stats: st}, runErr
+	})
+	return &KCoreResult{Coreness: coreness, Stats: st}, err
 }
 
-func atomicAdd(p *int64, v int64) {
-	atomic.AddInt64(p, v)
+// loopInfo is the trace header of a core.RunLoop run on g that starts
+// from frontier active items; strategy names its bucketing ("lazy") or
+// the lack of it ("unordered").
+func loopInfo(strategy string, g *graphit.Graph, frontier int) core.RunInfo {
+	return core.RunInfo{
+		Strategy:    strategy,
+		NumVertices: g.NumVertices(),
+		NumEdges:    int64(g.NumEdges()),
+		Frontier:    frontier,
+	}
 }

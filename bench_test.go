@@ -201,12 +201,15 @@ func BenchmarkTable7_EagerVsLazy(b *testing.B) {
 func BenchmarkFig11_Scalability(b *testing.B) {
 	d := mustDatasets(b)(bench.Road(benchScale))[0]
 	src := firstSource(d)
+	// GraphIt's ∆-stepping schedule (eager with fusion, the dataset's ∆).
+	base := graphit.DefaultSchedule().ConfigApplyPriorityUpdateDelta(1 << d.BestDeltaExp)
 	for _, w := range []int{1, 2, 4, 8} {
+		sched := base.ConfigNumWorkers(w)
 		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
-			prev := graphit.SetWorkers(w)
-			defer graphit.SetWorkers(prev)
 			for i := 0; i < b.N; i++ {
-				mustRun(b, bench.SSSP(context.Background(), bench.FwGraphIt, d, src))
+				if _, err := algo.SSSP(d.Graph, src, sched); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -96,12 +96,6 @@ func main() {
 		OnFault:         *onFault,
 	}.Schedule()
 	fatal(err)
-	if *workers > 0 {
-		// Ordered runs size their own executor from the schedule's worker
-		// count; the global override remains for the unordered baselines,
-		// which use the package-level loops.
-		graphit.SetWorkers(*workers)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

@@ -28,7 +28,6 @@ import (
 	"graphit/internal/core"
 	"graphit/internal/gen"
 	"graphit/internal/graph"
-	"graphit/internal/parallel"
 )
 
 // VertexID identifies a vertex.
@@ -120,16 +119,3 @@ const NullMax = core.NullMax
 // setting. Pooling is on by default; turning it off makes every run
 // allocate fresh O(V) state — the fresh arm of BenchmarkEngineReuse.
 func SetEnginePooling(on bool) bool { return core.SetPooling(on) }
-
-// SetWorkers overrides the global worker count (0 restores GOMAXPROCS) and
-// returns the previous override. The scalability experiments (paper
-// Figure 11) sweep this.
-//
-// Deprecated for ordered engine runs: each run sizes its own executor from
-// the schedule's ConfigNumWorkers, so this override only affects the
-// unordered baselines and package-level parallel helpers. Concurrent
-// ordered runs with different ConfigNumWorkers are safe and isolated.
-func SetWorkers(n int) int { return parallel.SetWorkers(n) }
-
-// Workers returns the current worker count.
-func Workers() int { return parallel.Workers() }

@@ -9,7 +9,6 @@ import (
 
 	"graphit"
 	"graphit/algo"
-	"graphit/internal/parallel"
 	"graphit/internal/qexec"
 )
 
@@ -92,7 +91,7 @@ func BatchQuery(ctx context.Context, s Scale, opt PerfOptions) (*Table, *PerfRep
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
-		Workers:   parallel.Workers(),
+		Workers:   runtime.GOMAXPROCS(0),
 	}
 	t := &Table{
 		Title:  fmt.Sprintf("Batched multi-source serving: %d same-schedule SSSP queries on %s", batchK, d.Name),

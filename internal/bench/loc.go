@@ -37,7 +37,7 @@ func Table5() (*Table, error) {
 		{"wBFS", "wbfs.gt", "algo/sssp.go", []string{"SSSPContext", "WBFSContext"}},
 		{"A*", "astar.gt", "algo/astar.go", []string{"AStarContext"}},
 		{"k-core", "kcore.gt", "algo/kcore.go", []string{"KCoreContext"}},
-		{"SetCover", "setcover.gt", "algo/setcover.go", []string{"SetCoverContext"}},
+		{"SetCover", "setcover.gt", "algo/setcover.go", []string{"WeightedSetCoverContext"}},
 	}
 	for _, r := range rows {
 		dsl, err := countDSLLines(filepath.Join(root, "testdata", "dsl", r.dslFile))

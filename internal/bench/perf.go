@@ -10,7 +10,6 @@ import (
 
 	"graphit"
 	"graphit/algo"
-	"graphit/internal/parallel"
 )
 
 // PerfSchema is the schema tag carried by every PerfReport, bumped on
@@ -296,7 +295,7 @@ func Perf(ctx context.Context, s Scale, opt PerfOptions) (*Table, *PerfReport, e
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
-		Workers:   parallel.Workers(),
+		Workers:   runtime.GOMAXPROCS(0),
 	}
 	for _, c := range cases {
 		rec, err := measure(ctx, c, opt)

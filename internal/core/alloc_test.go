@@ -34,7 +34,7 @@ func warmLazyEngine(t *testing.T, dir Direction) (*lazyTrav, []uint32) {
 	ctl := &runCtl{}
 	e := op.buildEngine(sc, ex, active, ctl)
 	var st Stats
-	if fault, err := e.run(context.Background(), NopTracer{}, false, &st); fault != nil || err != nil {
+	if fault, err := e.run(context.Background(), NopTracer{}, &st); fault != nil || err != nil {
 		t.Fatalf("warmup run: fault=%v err=%v", fault, err)
 	}
 	if st.Rounds == 0 {

@@ -58,8 +58,8 @@ func (o *Ordered) RunApproxContext(ctx context.Context) (Stats, error) {
 	}
 	q := newApproxQueue(o, active)
 
-	// The run's executor fixes the worker count up front (no global
-	// SetWorkers dependence) and parks its workers for reuse by later runs.
+	// The run's executor fixes the worker count up front and parks its
+	// workers for reuse by later runs.
 	ex := parallel.Acquire(o.Cfg.Workers)
 	batch := o.Cfg.Grain
 	if batch <= 0 {

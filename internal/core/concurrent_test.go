@@ -12,8 +12,8 @@ import (
 // TestConcurrentRunsDifferentWorkerCounts is the regression test for the
 // global worker-count race: several RunContext calls execute concurrently,
 // each with a different Cfg.Workers, across all four strategies. Before the
-// per-run executor, the engine installed its worker count via a global
-// SetWorkers, so a narrow run could shrink the count under a wide run
+// per-run executor, the engine installed its worker count process-wide, so
+// a narrow run could shrink the count under a wide run
 // mid-flight and index per-worker state out of range (or lose vertices).
 // Run under -race in CI; every run must also match its serial result.
 func TestConcurrentRunsDifferentWorkerCounts(t *testing.T) {

@@ -146,7 +146,7 @@ type Config struct {
 	// the default is 128.
 	NumBuckets int
 	Direction  Direction
-	// Workers overrides the worker count (0 = parallel.Workers()).
+	// Workers is the run's worker count (0 = GOMAXPROCS).
 	Workers int
 	// Grain is the dynamic-scheduling chunk size (0 = parallel.DefaultGrain).
 	Grain int

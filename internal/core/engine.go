@@ -2,9 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"math"
-	"time"
 
 	"graphit/internal/atomicutil"
 	"graphit/internal/bucket"
@@ -49,6 +48,11 @@ type engine struct {
 	ups  []*Updater
 	ex   *parallel.Executor
 	ctl  *runCtl
+
+	// bid and frontier are the round in flight; after a fault they name
+	// the round FaultRetrySerial re-executes.
+	bid      int64
+	frontier []uint32
 }
 
 // Run executes the ordered operator to completion and returns its counters.
@@ -98,10 +102,9 @@ func (o *Ordered) RunContext(ctx context.Context) (Stats, error) {
 	}
 
 	// The run's private executor: a persistent worker pool with a count
-	// fixed at Cfg.Workers (default Workers()) for the whole run, so
-	// concurrent runs with different counts are isolated — no global
-	// SetWorkers override — and per-round parallel phases reuse parked
-	// workers instead of spawning goroutines.
+	// fixed at Cfg.Workers (default GOMAXPROCS) for the whole run, so
+	// concurrent runs with different counts are isolated and per-round
+	// parallel phases reuse parked workers instead of spawning goroutines.
 	ex := parallel.Acquire(o.Cfg.Workers)
 	ctl := newRunCtl(ctx)
 	var stopWatch func()
@@ -118,7 +121,7 @@ func (o *Ordered) RunContext(ctx context.Context) (Stats, error) {
 	clean := true
 	lastProgress := int64(-1)
 	for {
-		fault, err := e.run(ctx, tr, trace, &st)
+		fault, err := e.run(ctx, tr, &st)
 		// The engine (or its replacement below) is done with its source
 		// either way; fold the source's counters before moving on.
 		e.src.finish(&st)
@@ -133,14 +136,19 @@ func (o *Ordered) RunContext(ctx context.Context) (Stats, error) {
 			// No retry policy — or the previous retry cycle made no
 			// progress, so retrying again would loop forever on the same
 			// deterministic fault.
-			runErr = fault.err
+			runErr = fault
 			break
 		}
 		lastProgress = st.Relaxations
 		st.Retries++
 		ctl.reset()
-		if fault.frontier != nil {
-			if rerr := o.retryRelax(fault, &st, ctl); rerr != nil {
+		// A fault in the relax phase (a panic, or a round the watchdog
+		// interrupted) may have applied part of the round: re-execute it.
+		// Faults in next_bucket or update_buckets leave the priority vector
+		// consistent, so the rebuild alone suffices.
+		var pe *PanicError
+		if !errors.As(fault, &pe) || pe.Phase == PhaseRelax {
+			if rerr := o.retryRelax(e, st.Rounds, &st); rerr != nil {
 				runErr = rerr
 				break
 			}
@@ -209,43 +217,25 @@ func (o *Ordered) reactivate() []uint32 {
 // frontier is safe for every strategy (validate rejects the one unsafe
 // combination, eager finalize-on-pop). Phase names seen by fault hooks
 // carry the "retry." prefix; a fault during the retry itself is terminal.
-func (o *Ordered) retryRelax(f *roundFault, st *Stats, ctl *runCtl) (err error) {
-	rctl := &runCtl{hook: ctl.hook, prefix: RetryPrefix}
-	rctl.round.Store(f.round)
+func (o *Ordered) retryRelax(faulted *engine, round int64, st *Stats) (err error) {
+	rctl := &runCtl{hook: faulted.ctl.hook, prefix: RetryPrefix}
+	rctl.round.Store(round)
 	re := o.buildRetrySweep(rctl)
+	re.bid, re.frontier = faulted.bid, faulted.frontier
 	defer func() {
 		if r := recover(); r != nil {
-			re.fold(st)
-			err = asPanicError(RetryPrefix+PhaseRelax, f.round, r)
+			err = asPanicError(RetryPrefix+PhaseRelax, round, r)
 		}
 	}()
-	for _, u := range re.ups {
-		u.curBin, u.curPrio = f.bid, f.curPrio
-	}
-	re.trav.relax(f.bid, f.curPrio, f.frontier)
-	re.fold(st)
+	re.relax(st)
 	return nil
 }
 
-// retrySweep is the single-worker traversal used by retryRelax: the same
-// traversal type the faulted engine ran, minus the bucket source (the
+// buildRetrySweep builds the single-worker engine used by retryRelax: the
+// same traversal type the faulted engine ran, minus the bucket source (the
 // retry's bucket insertions are discarded — the rebuild re-derives them
 // from the priority vector).
-type retrySweep struct {
-	trav traversal
-	ups  []*Updater
-}
-
-func (re *retrySweep) fold(st *Stats) {
-	for _, u := range re.ups {
-		st.Relaxations += u.relaxations
-		st.Inversions += u.inversions
-		st.Processed += u.processed
-		u.relaxations, u.inversions, u.processed, u.fused = 0, 0, 0, 0
-	}
-}
-
-func (o *Ordered) buildRetrySweep(ctl *runCtl) *retrySweep {
+func (o *Ordered) buildRetrySweep(ctl *runCtl) *engine {
 	n := o.G.NumVertices()
 	grain := o.Cfg.Grain
 	if grain <= 0 {
@@ -258,7 +248,7 @@ func (o *Ordered) buildRetrySweep(ctl *runCtl) *retrySweep {
 	case EagerWithFusion, EagerNoFusion:
 		if o.Cfg.Direction == DensePull {
 			inFron, _ := sc.getDense(n)
-			return &retrySweep{trav: &eagerPull{o: o, ex: ex, ups: ups, inFron: inFron, grain: grain, ctl: ctl}, ups: ups}
+			return &engine{o: o, trav: &eagerPull{o: o, ex: ex, ups: ups, inFron: inFron, grain: grain, ctl: ctl}, ups: ups}
 		}
 		bins := sc.getBins(1)
 		ups[0].bins = bins[0]
@@ -266,10 +256,10 @@ func (o *Ordered) buildRetrySweep(ctl *runCtl) *retrySweep {
 		// Fusion is disabled: the retry must re-execute exactly the faulted
 		// round, not chase newly generated same-bucket work (the rebuilt
 		// parallel engine picks that up).
-		return &retrySweep{trav: &eagerPush{o: o, ex: ex, ups: ups, bins: bins, fusion: false, grain: grain, ctl: ctl}, ups: ups}
+		return &engine{o: o, trav: &eagerPush{o: o, ex: ex, ups: ups, bins: bins, fusion: false, grain: grain, ctl: ctl}, ups: ups}
 	case LazyConstantSum:
 		ups[0].atomics = true
-		return &retrySweep{trav: &constSumTrav{o: o, ex: ex, sc: sc, ups: ups, hist: sc.getHist(n), grain: grain, ctl: ctl}, ups: ups}
+		return &engine{o: o, trav: &constSumTrav{o: o, ex: ex, sc: sc, ups: ups, hist: sc.getHist(n), grain: grain, ctl: ctl}, ups: ups}
 	default: // Lazy
 		t := &lazyTrav{
 			o: o, ex: ex, sc: sc, ups: ups, grain: grain,
@@ -282,16 +272,22 @@ func (o *Ordered) buildRetrySweep(ctl *runCtl) *retrySweep {
 		if o.Cfg.Direction != SparsePush {
 			t.inFron, t.nextMap = sc.getDense(n)
 		}
-		return &retrySweep{trav: t, ups: ups}
+		return &engine{o: o, trav: t, ups: ups}
 	}
 }
 
 // tracer resolves the run's Tracer: the operator's explicit Trace field,
-// else one carried by ctx (WithTracer), else the no-op tracer.
+// else tracerOf(ctx).
 func (o *Ordered) tracer(ctx context.Context) Tracer {
 	if o.Trace != nil {
 		return o.Trace
 	}
+	return tracerOf(ctx)
+}
+
+// tracerOf returns the Tracer carried by ctx (WithTracer), else the no-op
+// tracer.
+func tracerOf(ctx context.Context) Tracer {
 	if t, ok := TracerFrom(ctx); ok && t != nil {
 		return t
 	}
@@ -371,178 +367,78 @@ func (o *Ordered) buildEngine(sc *scratch, ex *parallel.Executor, active []uint3
 	return e
 }
 
-// phase runs one engine phase with panic containment: the injection hook
-// fires first (worker 0's checkpoint), then fn; a panic from either — or
-// re-raised by the executor from a worker — is recovered and converted to
-// a *PanicError naming the phase and round.
-func (e *engine) phase(name string, fn func()) (pe *PanicError) {
-	ctl := e.ctl
-	defer func() {
-		if r := recover(); r != nil {
-			pe = asPanicError(ctl.prefix+name, ctl.round.Load(), r)
-		}
-	}()
-	ctl.fire(name, 0)
-	fn()
-	return nil
-}
-
-// fold drains the per-worker updater counters into st and returns this
-// round's relaxation/processed/fused counts. It runs after every relax
-// phase, including faulted ones, so partial work is always accounted.
-func (e *engine) fold(st *Stats) (rRelax, rProc, rFused int64) {
+// fold drains the per-worker updater counters into st.
+func (e *engine) fold(st *Stats) {
 	for _, u := range e.ups {
-		rRelax += u.relaxations
-		rProc += u.processed
-		rFused += u.fused
 		st.Relaxations += u.relaxations
 		st.Inversions += u.inversions
 		st.Processed += u.processed
 		st.FusedRounds += u.fused
 		u.relaxations, u.inversions, u.processed, u.fused = 0, 0, 0, 0
 	}
-	return rRelax, rProc, rFused
 }
 
-// recentRounds bounds the ring of completed-round events attached to a
-// StuckError for diagnosis.
-const recentRounds = 8
+// relax sweeps the round in flight and folds the per-worker counters into
+// st — also when the sweep panics, so partial work is always accounted.
+func (e *engine) relax(st *Stats) (updated []uint32, pull, aborted bool) {
+	defer e.fold(st)
+	curPrio := e.bid * e.o.Cfg.Delta
+	for _, u := range e.ups {
+		u.curBin, u.curPrio = e.bid, curPrio
+	}
+	return e.trav.relax(e.bid, curPrio, e.frontier)
+}
 
-// run is the single shared round loop: extract the next bucket, check the
-// stop condition, sweep edges, fold counters, bulk-update buckets — with a
-// cooperative cancellation check at every round barrier. It returns a
-// non-nil roundFault when a round was interrupted by a contained panic or
-// a watchdog timeout (the caller decides between failing and retrying),
-// and a terminal error for cancellation or a no-progress abort.
-func (e *engine) run(ctx context.Context, tr Tracer, trace bool, st *Stats) (*roundFault, error) {
+// run drives the engine's rounds through the shared round loop: extract
+// the next bucket and check the stop condition, sweep edges, fold
+// counters, bulk-update buckets. It returns a retryable fault — a
+// *PanicError, or a *StuckError for a round the watchdog interrupted —
+// apart from a terminal error (cancellation or no progress); after a fault
+// e.bid and e.frontier still name the faulted round.
+func (e *engine) run(ctx context.Context, tr Tracer, st *Stats) (fault, err error) {
 	o := e.o
 	ctl := e.ctl
-	keepRecent := o.Cfg.RoundTimeout > 0 || o.Cfg.StuckRounds > 0
-	var recent []RoundEvent
-	stuckRun := 0
-	lastBid := int64(math.MinInt64)
-	var stuckSince time.Time
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ctl.beginRound(st.Rounds + 1)
-		var bid int64
-		var frontier []uint32
-		if pe := e.phase(PhaseNext, func() { bid, frontier = e.src.next() }); pe != nil {
-			return &roundFault{err: pe, round: st.Rounds + 1}, nil
-		}
-		if bid == bucket.NullBkt {
-			ctl.endRound()
-			return nil, nil
-		}
-		curPrio := bid * o.Cfg.Delta
-		if o.Stop != nil && o.Stop(curPrio) {
-			ctl.endRound()
-			return nil, nil
-		}
-		st.Rounds++
-		for _, u := range e.ups {
-			u.curBin, u.curPrio = bid, curPrio
-		}
-		var begin time.Time
-		if trace || keepRecent {
-			begin = time.Now()
-		}
-		var updated []uint32
-		var pull, aborted bool
-		pe := e.phase(PhaseRelax, func() { updated, pull, aborted = e.trav.relax(bid, curPrio, frontier) })
-		rRelax, rProc, rFused := e.fold(st)
-		if pe != nil {
-			return &roundFault{
-				err: pe, round: st.Rounds, bid: bid, curPrio: curPrio,
-				frontier: append([]uint32(nil), frontier...),
-			}, nil
-		}
-		if aborted {
-			if ctl.aborted() == abortCancel {
-				return nil, ctx.Err()
+	return runLoop(ctx, o.Cfg, e.ex, ctl, tr, st, Loop{
+		Next: func() bool {
+			e.bid, e.frontier = e.src.next()
+			return e.bid != bucket.NullBkt && (o.Stop == nil || !o.Stop(e.bid*o.Cfg.Delta))
+		},
+		Round: func(r *Round) {
+			r.Bucket, r.Frontier = e.bid, len(e.frontier)
+			updated, pull, aborted := e.relax(st)
+			if aborted {
+				r.interrupted.Store(true)
+				return
 			}
-			se := &StuckError{
-				Reason: StuckRoundTimeout, Round: st.Rounds, Bucket: bid,
-				Priority: curPrio, Frontier: len(frontier),
-				Elapsed: time.Since(begin),
-				Recent:  append([]RoundEvent(nil), recent...),
+			switch ctl.aborted() {
+			case abortCancel:
+				return
+			case abortTimeout:
+				// The abort raced with the sweep's completion, so the
+				// sweep's effects are fully applied and the timeout is
+				// moot; keep the watchdog timing this round's tail.
+				ctl.reset()
+				ctl.beginRound(st.Rounds)
 			}
-			return &roundFault{
-				err: se, round: st.Rounds, bid: bid, curPrio: curPrio,
-				frontier: append([]uint32(nil), frontier...),
-			}, nil
-		}
-		if r := ctl.aborted(); r != abortNone {
-			// The abort raced with the round's completion: the traversal
-			// never observed it, so the round's effects are fully applied.
-			// Honor cancellation at this barrier; a late timeout is moot —
-			// the round is done — so clear it and continue.
-			if r == abortCancel {
-				return nil, ctx.Err()
+			if pull {
+				st.PullRounds++
 			}
-			ctl.reset()
-			ctl.beginRound(st.Rounds) // keep the watchdog timing this round's tail
-		}
-		if pull {
-			st.PullRounds++
-		}
-		// One global synchronization per round: the sweep's join plus the
-		// bulk bucket update (paper Figure 5, lines 12–13).
-		st.GlobalSyncs++
-		if pe := e.phase(PhaseUpdate, func() { e.src.update(updated) }); pe != nil {
-			return &roundFault{err: pe, round: st.Rounds}, nil
-		}
-		ev := RoundEvent{
-			Round:       st.Rounds,
-			Bucket:      bid,
-			Priority:    curPrio,
-			Frontier:    len(frontier),
-			Updated:     len(updated),
-			Relaxations: rRelax,
-			Processed:   rProc,
-			FusedIters:  rFused,
-			Pull:        pull,
-			Wall:        time.Since(begin),
-		}
-		if trace {
-			tr.Round(ev)
-		}
-		if keepRecent {
-			if len(recent) == recentRounds {
-				copy(recent, recent[1:])
-				recent = recent[:recentRounds-1]
+			// One global synchronization per round: the sweep's join plus
+			// the bulk bucket update (paper Figure 5, lines 12–13).
+			st.GlobalSyncs++
+			if pe := ctl.phase(PhaseUpdate, func() { e.src.update(updated) }); pe != nil {
+				panic(pe) // the round's relax-phase recover passes it on unchanged
 			}
-			recent = append(recent, ev)
-		}
-		if o.Cfg.StuckRounds > 0 {
-			// No-progress detector: the same bucket re-extracted with zero
-			// relaxations for K consecutive rounds cannot converge — a
-			// correct (bucketSource, traversal) pair either relaxes edges
-			// or advances to another bucket, so this only fires on a
-			// defective composition (or injected stall) and is terminal.
-			if bid == lastBid && rRelax == 0 {
-				if stuckRun == 0 {
-					stuckSince = begin
-				}
-				stuckRun++
-				if stuckRun >= o.Cfg.StuckRounds {
-					ctl.endRound()
-					return nil, &StuckError{
-						Reason: StuckNoProgress, Round: st.Rounds, Bucket: bid,
-						Priority: curPrio, Frontier: len(frontier),
-						Elapsed: time.Since(stuckSince),
-						Recent:  append([]RoundEvent(nil), recent...),
-					}
-				}
-			} else {
-				stuckRun = 0
-			}
-			lastBid = bid
-		}
-		ctl.endRound()
-	}
+			r.updated, r.pull = len(updated), pull
+		},
+		// A correct (bucketSource, traversal) pair either relaxes edges
+		// or advances to another bucket, so the same bucket re-extracted
+		// with zero relaxations only happens on a defective composition
+		// (or an injected stall).
+		stalled: func(prev, ev RoundEvent) bool {
+			return ev.Bucket == prev.Bucket && ev.Relaxations == 0
+		},
+	})
 }
 
 // initialActive returns the initial active vertex set — Sources if given,

@@ -123,6 +123,16 @@ func (e *StuckError) Error() string {
 		e.Reason, e.Round, e.Bucket, e.Priority, e.Frontier, e.Elapsed)
 }
 
+// stuck reports ev's round as stuck for reason, with a copy of the
+// recent-round ring for diagnosis.
+func (ev RoundEvent) stuck(reason string, elapsed time.Duration, recent []RoundEvent) *StuckError {
+	return &StuckError{
+		Reason: reason, Round: ev.Round, Bucket: ev.Bucket, Priority: ev.Priority,
+		Frontier: ev.Frontier, Elapsed: elapsed,
+		Recent: append([]RoundEvent(nil), recent...),
+	}
+}
+
 // FaultHook observes engine phase transitions at chunk granularity: it is
 // called with the phase name, the 1-based round, and the worker id. It is
 // the seam the internal/faults injection harness uses to panic, delay, or
@@ -214,6 +224,21 @@ func (c *runCtl) fireAt(phase string, round int64, worker int) {
 	}
 }
 
+// phase runs one round phase with panic containment: the injection hook
+// fires first (worker 0's checkpoint), then fn; a panic from either — or
+// re-raised by the executor from a worker — is recovered and converted to
+// a *PanicError naming the phase and round.
+func (c *runCtl) phase(name string, fn func()) (pe *PanicError) {
+	defer func() {
+		if r := recover(); r != nil {
+			pe = asPanicError(c.prefix+name, c.round.Load(), r)
+		}
+	}()
+	c.fire(name, 0)
+	fn()
+	return nil
+}
+
 // checkpoint is the per-chunk check inside parallel traversal phases: it
 // fires the injection hook (which may panic — contained by the executor)
 // and reports whether the round has been aborted and the worker should
@@ -279,18 +304,4 @@ func asPanicError(phase string, round int64, r any) *PanicError {
 	default:
 		return &PanicError{Phase: phase, Round: round, Value: r, Stack: debug.Stack()}
 	}
-}
-
-// roundFault describes one contained fault: the error to report, and — when
-// the fault interrupted the relax phase, whose effects on the priority
-// vector may be partial — the round's saved frontier so FaultRetrySerial
-// can re-execute it. Faults outside relax (next_bucket, update_buckets, or
-// a timeout that raced with round completion) carry a nil frontier: the
-// priority vector is already consistent and a rebuild alone suffices.
-type roundFault struct {
-	err      error // *PanicError or *StuckError
-	round    int64
-	bid      int64
-	curPrio  int64
-	frontier []uint32
 }

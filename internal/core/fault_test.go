@@ -72,9 +72,9 @@ func TestStuckNoProgressDetector(t *testing.T) {
 		ctl:  &runCtl{},
 	}
 	var st Stats
-	fault, err := e.run(context.Background(), NopTracer{}, false, &st)
+	fault, err := e.run(context.Background(), NopTracer{}, &st)
 	if fault != nil {
-		t.Fatalf("no-progress abort must be terminal, got retryable fault %v", fault.err)
+		t.Fatalf("no-progress abort must be terminal, got retryable fault %v", fault)
 	}
 	var se *StuckError
 	if !errors.As(err, &se) {

@@ -320,11 +320,11 @@ func (mo *MultiOrdered) RunContext(ctx context.Context) (MultiStats, error) {
 	}
 	var runErr error
 	clean := true
-	fault, err := e.run(ctx, tr, trace, &ms.Stats)
+	fault, err := e.run(ctx, tr, &ms.Stats)
 	e.src.finish(&ms.Stats)
 	if fault != nil {
 		// No retry policy for multi runs: a contained fault is terminal.
-		runErr = fault.err
+		runErr = fault
 		clean = false
 	} else {
 		runErr = err

@@ -7,12 +7,12 @@ import (
 	"graphit/internal/bucket"
 	"graphit/internal/core"
 	"graphit/internal/lang"
-	"graphit/internal/parallel"
 )
 
 // runExternLoop executes an extern-driven ordered loop (the escape hatch
 // the paper's SetCover uses): each round dequeues a bucket and applies
-// host-bound extern functions to its vertices under lazy bucketing.
+// host-bound extern functions to its vertices under lazy bucketing, on the
+// loop label's schedule inside the engine's envelope (core.RunLoop).
 //
 //   - applyExtern(f): f(v) is called for every dequeued vertex (parallel;
 //     the host function must be safe for concurrent use).
@@ -36,12 +36,9 @@ func (env *execEnv) runExternLoop() (core.Stats, error) {
 		}
 		return bucket.NullBkt
 	}
-	lz := bucket.NewLazy(len(prio), order, 128, bktOf)
-
 	// Resolve the extern binding for each loop statement once.
 	type phase struct {
 		fn     ExternFunc
-		name   string
 		reduce bool
 	}
 	var phases []phase
@@ -59,50 +56,67 @@ func (env *execEnv) runExternLoop() (core.Stats, error) {
 		if fn == nil {
 			return core.Stats{}, fmt.Errorf("codegen: extern func %q is not bound", name)
 		}
-		phases = append(phases, phase{fn: fn, name: name, reduce: mc.Method == "applyExternReduce"})
+		phases = append(phases, phase{fn: fn, reduce: mc.Method == "applyExternReduce"})
 	}
 
-	var st core.Stats
-	w := parallel.Workers()
-	for {
-		bid, verts := lz.Next()
-		if bid == bucket.NullBkt {
-			break
-		}
-		st.Rounds++
-		var updated []uint32
-		for _, ph := range phases {
-			if !ph.reduce {
-				parallel.ForChunks(len(verts), 0, func(lo, hi, _ int) {
-					for _, v := range verts[lo:hi] {
-						ph.fn(int64(v))
-					}
-				})
-				st.GlobalSyncs++
-				continue
-			}
-			outs := make([][]uint32, w)
-			parallel.ForChunks(len(verts), 0, func(lo, hi, worker int) {
-				for _, v := range verts[lo:hi] {
-					np := ph.fn(int64(v))
-					if np == atomicutil.Load(&prio[v]) {
+	loop := env.plan.Analysis.Loop
+	cfg := env.plan.Schedules.Get(loop.Label).Config()
+	info := core.RunInfo{
+		Strategy:    core.Lazy.String(),
+		NumVertices: env.g.NumVertices(),
+		NumEdges:    int64(env.g.NumEdges()),
+	}
+	// The priority vector is the loop's only state the runtime owns (the
+	// host externs keep their own), so an attempt resumes from its current
+	// contents.
+	var lz *bucket.Lazy
+	st, err := core.RunLoop(env.ctx, cfg, info, func(workers int) core.Loop {
+		lz = bucket.NewLazy(len(prio), order, cfg.NumBuckets, bktOf)
+		var bid int64
+		var verts, updated []uint32
+		outs := make([][]uint32, workers)
+		return core.Loop{
+			Next: func() bool {
+				bid, verts = lz.Next()
+				return bid != bucket.NullBkt
+			},
+			Round: func(r *core.Round) {
+				r.Bucket, r.Frontier = bid, len(verts)
+				updated = updated[:0]
+				for _, ph := range phases {
+					if !ph.reduce {
+						r.ForChunks(len(verts), func(lo, hi, _ int) {
+							for _, v := range verts[lo:hi] {
+								ph.fn(int64(v))
+							}
+						})
+						r.Stats.GlobalSyncs++
 						continue
 					}
-					atomicutil.Store(&prio[v], np)
-					if np != null {
-						outs[worker] = append(outs[worker], v)
+					r.ForChunks(len(verts), func(lo, hi, worker int) {
+						for _, v := range verts[lo:hi] {
+							np := ph.fn(int64(v))
+							if np == atomicutil.Load(&prio[v]) {
+								continue
+							}
+							atomicutil.Store(&prio[v], np)
+							if np != null {
+								outs[worker] = append(outs[worker], v)
+							}
+						}
+					})
+					for i := range outs {
+						updated = append(updated, outs[i]...)
+						outs[i] = outs[i][:0]
 					}
+					r.Stats.GlobalSyncs++
 				}
-			})
-			for _, o := range outs {
-				updated = append(updated, o...)
-			}
-			st.GlobalSyncs++
+				r.Stats.Processed += int64(len(verts))
+				lz.UpdateBuckets(updated)
+			},
 		}
-		st.Processed += int64(len(verts))
-		lz.UpdateBuckets(updated)
-	}
+	})
 	st.BucketInserts = lz.Inserts
 	st.WindowAdvances = lz.Rebuckets
-	return st, nil
+	return st, err
 }

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 
 // execEnv is the interpreter state for one plan execution.
 type execEnv struct {
+	ctx     context.Context
 	plan    *Plan
 	g       *graph.Graph
 	argv    []string

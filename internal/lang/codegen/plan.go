@@ -10,6 +10,7 @@
 package codegen
 
 import (
+	"context"
 	"fmt"
 
 	"graphit/internal/atomicutil"
@@ -102,6 +103,13 @@ type ExecResult struct {
 
 // Execute runs the plan to completion.
 func (p *Plan) Execute(opt ExecOptions) (*ExecResult, error) {
+	return p.execute(context.Background(), opt)
+}
+
+// execute is Execute under ctx: the ordered loop, extern-driven or not,
+// runs inside the engine's envelope with ctx's cancellation, tracer and
+// fault hook.
+func (p *Plan) execute(ctx context.Context, opt ExecOptions) (*ExecResult, error) {
 	chk := p.Checked
 	for _, d := range chk.Prog.Decls {
 		if fd, ok := d.(*lang.FuncDecl); ok && fd.Extern {
@@ -125,6 +133,7 @@ func (p *Plan) Execute(opt ExecOptions) (*ExecResult, error) {
 		}
 	}
 	env := &execEnv{
+		ctx:     ctx,
 		plan:    p,
 		g:       g,
 		argv:    opt.Argv,
@@ -223,7 +232,7 @@ func (env *execEnv) runOrderedLoop() (core.Stats, error) {
 			return best != null && cur >= best
 		}
 	}
-	st, err := op.Run()
+	st, err := op.RunContext(env.ctx)
 	if err != nil {
 		return st, err
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // Panic describes a panic recovered from a parallel loop body. Every loop
-// primitive (Run, ForChunks, ForStatic, and the package-level wrappers)
+// primitive (Run, ForChunks, ForStatic, and the scan/pack helpers)
 // contains panics on its workers: all workers are joined, the executor is
 // returned to a reusable parked state, and the first panic is re-raised on
 // the calling goroutine wrapped in a *Panic that preserves the panicking
@@ -74,21 +74,19 @@ func protect(fn func(worker int), cell *panicCell) func(worker int) {
 }
 
 // Executor is a persistent pool of parked worker goroutines with a fixed,
-// immutable worker count. It provides the same loop primitives as the
-// package-level functions (Run, For, ForChunks, ForStatic, and the
-// scan/pack helpers), but bound to its own workers: the count never changes
-// after construction, so callers that size per-worker state from Workers()
-// cannot race with a concurrent SetWorkers, and repeated invocations reuse
-// the same parked goroutines instead of spawning a fresh set per call —
-// the persistent-thread-pool execution model of the OpenMP/Cilk runtimes
-// the paper's generated code runs on.
+// immutable worker count. It provides the loop primitives (Run, For,
+// ForChunks, ForStatic, and the scan/pack helpers) bound to its own
+// workers: the count never changes after construction, so callers may size
+// per-worker state from Workers(), and repeated invocations reuse the same
+// parked goroutines instead of spawning a fresh set per call — the
+// persistent-thread-pool execution model of the OpenMP/Cilk runtimes the
+// paper's generated code runs on.
 //
 // One invocation (Run/ForChunks/...) executes at a time on an executor's
 // pooled workers; the calling goroutine participates as worker 0 and the
 // remaining w-1 workers park on their dispatch channels between calls. If
 // an invocation arrives while another is in flight — concurrent callers
-// sharing the default executor, or a loop body re-entering its own
-// executor — it transparently degrades to transient goroutines, which is
+// sharing one executor, or a loop body re-entering its own executor — it transparently degrades to transient goroutines, which is
 // exactly the old spawn-per-call behavior, so nesting and sharing remain
 // safe (just not accelerated).
 type Executor struct {
@@ -109,11 +107,11 @@ type execShared struct {
 }
 
 // NewExecutor returns an executor with w persistent workers. w <= 0 sizes
-// it from Workers(). The workers are reclaimed by Close, or by a finalizer
+// it from GOMAXPROCS. The workers are reclaimed by Close, or by a finalizer
 // if the executor is dropped without one.
 func NewExecutor(w int) *Executor {
 	if w <= 0 {
-		w = Workers()
+		w = runtime.GOMAXPROCS(0)
 	}
 	e := &Executor{w: w}
 	if w > 1 {
@@ -342,10 +340,10 @@ const maxPooledExecutors = 8
 func ExecutorPoolCap() int { return maxPooledExecutors }
 
 // Acquire checks an executor with w workers out of the pool (w <= 0 =
-// Workers()), constructing one if none is free. Pair with Release.
+// GOMAXPROCS), constructing one if none is free. Pair with Release.
 func Acquire(w int) *Executor {
 	if w <= 0 {
-		w = Workers()
+		w = runtime.GOMAXPROCS(0)
 	}
 	executorPool.mu.Lock()
 	if list := executorPool.free[w]; len(list) > 0 {
@@ -388,13 +386,11 @@ func Release(e *Executor) {
 	}
 }
 
-// CloseIdle closes every idle pooled executor and the shared default
-// executor, parking their worker goroutines permanently. It exists for
-// goroutine-leak assertions in tests: pooled workers are intentionally
-// long-lived, so a leak check must first drain them to distinguish "parked
-// by design" from "stranded by a bug". Executors currently checked out via
-// Acquire are unaffected, and the default executor is rebuilt on demand by
-// the next package-level loop call.
+// CloseIdle closes every idle pooled executor, parking its worker
+// goroutines permanently. It exists for goroutine-leak assertions in tests:
+// pooled workers are intentionally long-lived, so a leak check must first
+// drain them to distinguish "parked by design" from "stranded by a bug".
+// Executors currently checked out via Acquire are unaffected.
 func CloseIdle() {
 	executorPool.mu.Lock()
 	lists := executorPool.free
@@ -404,33 +400,5 @@ func CloseIdle() {
 		for _, e := range list {
 			e.Close()
 		}
-	}
-	if e := defaultExec.Swap(nil); e != nil {
-		e.Close()
-	}
-}
-
-// defaultExec backs the package-level loop functions: one shared executor
-// sized to the current Workers() value, rebuilt when SetWorkers changes it.
-var defaultExec atomic.Pointer[Executor]
-
-func defaultExecutor() *Executor {
-	w := Workers()
-	for {
-		e := defaultExec.Load()
-		if e != nil && e.w == w {
-			return e
-		}
-		ne := NewExecutor(w)
-		if defaultExec.CompareAndSwap(e, ne) {
-			if e != nil {
-				// In-flight invocations on the old executor finish first
-				// (Close takes the invocation lock); racers that already
-				// loaded it degrade to transient goroutines.
-				e.Close()
-			}
-			return ne
-		}
-		ne.Close()
 	}
 }

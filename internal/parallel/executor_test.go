@@ -36,33 +36,6 @@ func TestExecutorWorkerIDStability(t *testing.T) {
 	}
 }
 
-// TestExecutorFixedCountIgnoresSetWorkers: an executor's count is immutable;
-// a concurrent SetWorkers override must not change how many workers its
-// invocations see. This is the global-state race the engine used to have.
-func TestExecutorFixedCountIgnoresSetWorkers(t *testing.T) {
-	e := NewExecutor(3)
-	defer e.Close()
-	prev := SetWorkers(7)
-	defer SetWorkers(prev)
-	var max atomic.Int64
-	var count atomic.Int64
-	e.Run(func(worker int) {
-		count.Add(1)
-		for {
-			cur := max.Load()
-			if int64(worker) <= cur || max.CompareAndSwap(cur, int64(worker)) {
-				return
-			}
-		}
-	})
-	if count.Load() != 3 {
-		t.Errorf("%d workers ran, want 3 despite SetWorkers(7)", count.Load())
-	}
-	if max.Load() != 2 {
-		t.Errorf("max worker id %d, want 2", max.Load())
-	}
-}
-
 // TestExecutorReuseAcrossRounds: repeated invocations reuse the parked
 // workers — the goroutine count does not grow with invocations.
 func TestExecutorReuseAcrossRounds(t *testing.T) {
@@ -376,14 +349,13 @@ func TestReleaseAfterPanic(t *testing.T) {
 	Release(got)
 }
 
-// TestCloseIdle: draining the pool and default executor leaves later calls
-// working (rebuilt on demand) and does not touch checked-out executors.
+// TestCloseIdle: draining the pool leaves later acquisitions working (built
+// on demand) and does not touch checked-out executors.
 func TestCloseIdle(t *testing.T) {
 	defer testutil.LeakCheck(t, CloseIdle)()
 	busy := Acquire(4)
 	idle := Acquire(4)
 	Release(idle)
-	Run(func(int) {}) // materialize the default executor
 	CloseIdle()
 	if got := Acquire(4); got == idle {
 		t.Error("CloseIdle left an idle executor in the pool")
@@ -394,15 +366,10 @@ func TestCloseIdle(t *testing.T) {
 		t.Errorf("checked-out executor ran %d workers after CloseIdle, want 4", count.Load())
 	}
 	Release(busy)
-	var hits atomic.Int64
-	Run(func(int) { hits.Add(1) })
-	if hits.Load() == 0 {
-		t.Error("package-level Run did not rebuild the default executor")
-	}
 }
 
 // TestAcquireReleaseReuse: the executor pool hands a released executor back
-// to the next acquirer of the same count, and sizes from Workers() when the
+// to the next acquirer of the same count, and sizes from GOMAXPROCS when the
 // requested count is non-positive.
 func TestAcquireReleaseReuse(t *testing.T) {
 	a := Acquire(3)
@@ -416,11 +383,9 @@ func TestAcquireReleaseReuse(t *testing.T) {
 	}
 	Release(b)
 
-	prev := SetWorkers(5)
-	defer SetWorkers(prev)
 	c := Acquire(0)
-	if c.Workers() != 5 {
-		t.Errorf("Acquire(0) under SetWorkers(5) sized %d workers", c.Workers())
+	if c.Workers() != runtime.GOMAXPROCS(0) {
+		t.Errorf("Acquire(0) sized %d workers, want GOMAXPROCS=%d", c.Workers(), runtime.GOMAXPROCS(0))
 	}
 	Release(c)
 

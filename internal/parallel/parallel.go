@@ -7,87 +7,18 @@
 // worker-local state (e.g. the thread-local bucket bins of the eager engine),
 // with explicit barriers between phases.
 //
-// Two layers are exposed. The Executor type is a persistent worker pool with
-// a fixed, immutable count: the engine acquires one per run (Acquire /
-// Release) so concurrent runs with different worker counts are isolated and
-// rounds reuse parked goroutines instead of spawning. The package-level
-// functions below are thin wrappers over a shared default executor sized
-// from Workers(); they serve callers outside a run (graph build, generators,
-// benchmarks) where a process-wide worker count is the right scope.
+// The Executor type is a persistent worker pool with a fixed, immutable
+// count: every run acquires its own (Acquire / Release), so concurrent runs
+// with different worker counts are isolated and rounds reuse parked
+// goroutines instead of spawning. There is no process-wide worker count.
 package parallel
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // DefaultGrain is the default number of iterations handed to a worker at a
 // time by dynamic scheduling. It matches the "dynamic, 64" OpenMP schedule
 // used by the generated code in the paper (Figure 9(c), line 15).
 const DefaultGrain = 64
-
-// Workers returns the number of workers used by the package-level loops:
-// GOMAXPROCS unless overridden by SetWorkers.
-func Workers() int {
-	w := int(workerOverride.Load())
-	if w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-var workerOverride atomic.Int64
-
-// SetWorkers overrides the worker count for subsequent package-level loops.
-// n <= 0 restores the GOMAXPROCS default. It returns the previous override
-// (0 if none). It is used by the scalability harness (paper Figure 11) to
-// sweep thread counts.
-//
-// SetWorkers is process-global and therefore deprecated for engine use: an
-// ordered run sizes its own Executor from Cfg.Workers, so concurrent runs
-// with different counts never observe each other. Only the default executor
-// behind the package-level loops follows SetWorkers.
-func SetWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(workerOverride.Swap(int64(n)))
-}
-
-// For runs body(i) for every i in [0, n) using dynamic scheduling with
-// DefaultGrain. It blocks until all iterations complete.
-func For(n int, body func(i int)) {
-	defaultExecutor().ForGrain(n, DefaultGrain, body)
-}
-
-// ForGrain is For with an explicit grain size.
-func ForGrain(n, grain int, body func(i int)) {
-	defaultExecutor().ForGrain(n, grain, body)
-}
-
-// ForChunks divides [0, n) into chunks of at most grain iterations and hands
-// each chunk to body(lo, hi, worker) using dynamic (atomic-counter)
-// scheduling. worker identifies the executing worker in [0, Workers()) so
-// that body can use worker-local state without synchronization.
-func ForChunks(n, grain int, body func(lo, hi, worker int)) {
-	defaultExecutor().ForChunks(n, grain, body)
-}
-
-// ForStatic divides [0, n) into Workers() contiguous slabs, one per worker.
-// Static scheduling is used where per-worker slabs must be deterministic
-// (e.g. copying thread-local bins into a global frontier).
-func ForStatic(n int, body func(lo, hi, worker int)) {
-	defaultExecutor().ForStatic(n, body)
-}
-
-// Run executes fn(worker) once on each of Workers() workers concurrently and
-// waits for all of them. It is the analogue of an OpenMP parallel region
-// (paper Figure 9(c), line 12): the body typically loops over shared work
-// queues and synchronizes with Barrier.
-func Run(fn func(worker int)) {
-	defaultExecutor().Run(fn)
-}
 
 // Barrier is a reusable cyclic barrier for n participants, the analogue of
 // "#pragma omp barrier" in the paper's generated eager code.

@@ -7,9 +7,11 @@ import "testing"
 // eliminates), and scans.
 
 func BenchmarkForChunksDispatch(b *testing.B) {
+	e := NewExecutor(0)
+	defer e.Close()
 	var sink int64
 	for i := 0; i < b.N; i++ {
-		ForChunks(1<<12, 64, func(lo, hi, _ int) {
+		e.ForChunks(1<<12, 64, func(lo, hi, _ int) {
 			s := int64(0)
 			for j := lo; j < hi; j++ {
 				s += int64(j)
@@ -21,12 +23,11 @@ func BenchmarkForChunksDispatch(b *testing.B) {
 }
 
 func BenchmarkBarrierCrossing(b *testing.B) {
-	prev := SetWorkers(4)
-	defer SetWorkers(prev)
-	w := Workers()
-	bar := NewBarrier(w)
+	e := NewExecutor(4)
+	defer e.Close()
+	bar := NewBarrier(e.Workers())
 	b.ResetTimer()
-	Run(func(worker int) {
+	e.Run(func(worker int) {
 		for i := 0; i < b.N; i++ {
 			bar.Wait()
 		}
@@ -39,18 +40,22 @@ func BenchmarkPrefixSum(b *testing.B) {
 		xs[i] = int64(i % 7)
 	}
 	scratch := make([]int64, len(xs))
+	e := NewExecutor(0)
+	defer e.Close()
 	b.SetBytes(int64(len(xs) * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(scratch, xs)
-		PrefixSum(scratch)
+		e.PrefixSum(scratch)
 	}
 }
 
 func BenchmarkPackU32(b *testing.B) {
-	xs := IotaU32(1 << 16)
+	e := NewExecutor(0)
+	defer e.Close()
+	xs := e.IotaU32(1 << 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = PackU32(xs, func(i int) bool { return xs[i]%3 == 0 })
+		_ = e.PackU32(xs, func(i int) bool { return xs[i]%3 == 0 })
 	}
 }

@@ -7,10 +7,15 @@ import (
 	"testing/quick"
 )
 
+// testWorkers is the worker count of the executors these tests build.
+const testWorkers = 4
+
 func TestForCoversAllIndices(t *testing.T) {
+	e := NewExecutor(testWorkers)
+	defer e.Close()
 	for _, n := range []int{0, 1, 63, 64, 65, 1000, 4096} {
 		hits := make([]int32, n)
-		For(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		e.For(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("n=%d: index %d hit %d times", n, i, h)
@@ -20,10 +25,11 @@ func TestForCoversAllIndices(t *testing.T) {
 }
 
 func TestForChunksWorkerIDsInRange(t *testing.T) {
-	w := Workers()
+	e := NewExecutor(testWorkers)
+	defer e.Close()
 	var bad atomic.Int64
-	ForChunks(10000, 16, func(lo, hi, worker int) {
-		if worker < 0 || worker >= w {
+	e.ForChunks(10000, 16, func(lo, hi, worker int) {
+		if worker < 0 || worker >= testWorkers {
 			bad.Add(1)
 		}
 		if lo >= hi {
@@ -36,9 +42,11 @@ func TestForChunksWorkerIDsInRange(t *testing.T) {
 }
 
 func TestForStaticPartitionsDisjointly(t *testing.T) {
+	e := NewExecutor(testWorkers)
+	defer e.Close()
 	n := 1001
 	hits := make([]int32, n)
-	ForStatic(n, func(lo, hi, worker int) {
+	e.ForStatic(n, func(lo, hi, worker int) {
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&hits[i], 1)
 		}
@@ -50,26 +58,18 @@ func TestForStaticPartitionsDisjointly(t *testing.T) {
 	}
 }
 
-func TestSetWorkersRoundTrip(t *testing.T) {
-	prev := SetWorkers(3)
-	if got := Workers(); got != 3 {
-		t.Errorf("Workers() = %d after SetWorkers(3)", got)
-	}
-	SetWorkers(prev)
-}
-
 func TestRunExecutesEveryWorkerOnce(t *testing.T) {
-	prev := SetWorkers(4)
-	defer SetWorkers(prev)
+	e := NewExecutor(testWorkers)
+	defer e.Close()
 	var mu sync.Mutex
 	seen := map[int]int{}
-	Run(func(worker int) {
+	e.Run(func(worker int) {
 		mu.Lock()
 		seen[worker]++
 		mu.Unlock()
 	})
-	if len(seen) != 4 {
-		t.Fatalf("saw %d workers, want 4", len(seen))
+	if len(seen) != testWorkers {
+		t.Fatalf("saw %d workers, want %d", len(seen), testWorkers)
 	}
 	for w, c := range seen {
 		if c != 1 {
@@ -110,12 +110,14 @@ func TestBarrierPhases(t *testing.T) {
 }
 
 func TestPrefixSumMatchesSerial(t *testing.T) {
+	e := NewExecutor(testWorkers)
+	defer e.Close()
 	f := func(xs []int64) bool {
 		a := make([]int64, len(xs))
 		copy(a, xs)
 		bSlice := make([]int64, len(xs))
 		copy(bSlice, xs)
-		gotTotal := PrefixSum(a)
+		gotTotal := e.PrefixSum(a)
 		var sum int64
 		for i, x := range bSlice {
 			bSlice[i] = sum
@@ -137,8 +139,8 @@ func TestPrefixSumMatchesSerial(t *testing.T) {
 }
 
 func TestPrefixSumLargeParallel(t *testing.T) {
-	prev := SetWorkers(4)
-	defer SetWorkers(prev)
+	e := NewExecutor(testWorkers)
+	defer e.Close()
 	n := 1 << 16
 	xs := make([]int64, n)
 	for i := range xs {
@@ -150,7 +152,7 @@ func TestPrefixSumLargeParallel(t *testing.T) {
 		wantAt[i] = want
 		want += xs[i]
 	}
-	got := PrefixSum(xs)
+	got := e.PrefixSum(xs)
 	if got != want {
 		t.Fatalf("total = %d, want %d", got, want)
 	}
@@ -162,9 +164,11 @@ func TestPrefixSumLargeParallel(t *testing.T) {
 }
 
 func TestPackU32KeepsOrderAndMembers(t *testing.T) {
+	e := NewExecutor(testWorkers)
+	defer e.Close()
 	f := func(xs []uint32) bool {
 		keep := func(i int) bool { return xs[i]%3 == 0 }
-		got := PackU32(xs, keep)
+		got := e.PackU32(xs, keep)
 		var want []uint32
 		for i, x := range xs {
 			if keep(i) {
@@ -187,7 +191,9 @@ func TestPackU32KeepsOrderAndMembers(t *testing.T) {
 }
 
 func TestIotaU32(t *testing.T) {
-	xs := IotaU32(1000)
+	e := NewExecutor(testWorkers)
+	defer e.Close()
+	xs := e.IotaU32(1000)
 	for i, x := range xs {
 		if x != uint32(i) {
 			t.Fatalf("iota[%d] = %d", i, x)

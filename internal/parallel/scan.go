@@ -95,10 +95,6 @@ func (e *Executor) prefixSum(xs []int64, sc *PackScratch) int64 {
 	return total
 }
 
-// PrefixSum is the package-level form of Executor.PrefixSum, run on the
-// default executor.
-func PrefixSum(xs []int64) int64 { return defaultExecutor().PrefixSum(xs) }
-
 // PackU32 returns the elements of xs whose index passes keep, preserving
 // order. It parallelizes via a flag array and prefix sum, the standard
 // Ligra/Julienne "pack" used to build sparse frontiers from dense flags.
@@ -129,12 +125,6 @@ func (e *Executor) PackU32(xs []uint32, keep func(i int) bool) []uint32 {
 		}
 	})
 	return out
-}
-
-// PackU32 is the package-level form of Executor.PackU32, run on the default
-// executor.
-func PackU32(xs []uint32, keep func(i int) bool) []uint32 {
-	return defaultExecutor().PackU32(xs, keep)
 }
 
 // PackIndicesInto appends to dst[:0] the indices i in [0, n) that pass keep,
@@ -235,19 +225,4 @@ func (e *Executor) IotaU32(n int) []uint32 {
 	out := make([]uint32, n)
 	e.For(n, func(i int) { out[i] = uint32(i) })
 	return out
-}
-
-// IotaU32 is the package-level form of Executor.IotaU32, run on the default
-// executor.
-func IotaU32(n int) []uint32 { return defaultExecutor().IotaU32(n) }
-
-// MaxInt64 returns the maximum of xs, or def if xs is empty.
-func MaxInt64(xs []int64, def int64) int64 {
-	max := def
-	for _, x := range xs {
-		if x > max {
-			max = x
-		}
-	}
-	return max
 }

@@ -111,9 +111,9 @@ func fallbackSchedule(params cliutil.ScheduleParams) (graphit.Schedule, error) {
 }
 
 // runShielded executes one algorithm run with a last-resort panic shield:
-// the engine contains panics in its own phases, but algorithm code outside
-// an engine phase (argument checks, manual round loops like SetCover's)
-// could still unwind into the pipeline. Any such panic is converted to a
+// the engine contains panics in its own phases and round loops, but
+// algorithm code outside them (argument checks, state set-up) could still
+// unwind into the pipeline. Any such panic is converted to a
 // *graphit.PanicError so every layer above sees one fault taxonomy and the
 // process never dies for a query.
 func runShielded(ctx context.Context, sp *algo.Spec, g *graphit.Graph, src, dst graphit.VertexID, sched graphit.Schedule) (res *algo.QueryResult, err error) {

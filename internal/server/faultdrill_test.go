@@ -48,8 +48,8 @@ func TestFaultDrill(t *testing.T) {
 	// 8th query instead gets a one-shot round stall long enough to trip the
 	// 2s round watchdog, so the drill exercises both fault kinds. (A stall
 	// only bites when the query's primary actually runs and reaches round 2
-	// — open breakers and setcover's engine-free loop skip it — so the rate
-	// is set well above the one-in-a-drill minimum the assertion needs.)
+	// — open breakers skip it — so the rate is set well above the
+	// one-in-a-drill minimum the assertion needs.)
 	var injecting, stallOnly atomic.Bool
 	var reqCounter atomic.Int64
 	injecting.Store(true)
@@ -84,11 +84,15 @@ func TestFaultDrill(t *testing.T) {
 		BaseContext:      base,
 	})
 
-	// Phase 1: 120 concurrent mixed queries under continuous injection.
-	const n = 120
+	// Phase 1: 126 concurrent mixed queries under continuous injection. The
+	// mix covers the ordered engine and every algorithm that runs on the
+	// engine's round-loop envelope (setcover and the unordered baselines).
+	const n = 126
+	const mix = 7
 	ids := allVertices(g)
+	isLoop := func(i int) bool { return i%mix >= 4 }
 	queries := func(i int) server.Query {
-		switch i % 5 {
+		switch i % mix {
 		case 0: // checked full-vector SSSP on the default (eager) strategy
 			return server.Query{Algo: "sssp", Graph: "road", Src: 0, Vertices: ids}
 		case 1:
@@ -97,8 +101,26 @@ func TestFaultDrill(t *testing.T) {
 			return server.Query{Algo: "ppsp", Graph: "road", Src: 0, Dst: uint32(g.NumVertices() - 1)}
 		case 3: // checked full-vector k-core
 			return server.Query{Algo: "kcore", Graph: "road", Strategy: "lazy_constant_sum", Vertices: ids}
-		default:
+		case 4:
 			return server.Query{Algo: "setcover", Graph: "road"}
+		case 5: // checked full-vector unordered baselines
+			return server.Query{Algo: "bellmanford", Graph: "road", Src: 0, Vertices: ids}
+		default:
+			return server.Query{Algo: "kcore-unordered", Graph: "road", Vertices: ids}
+		}
+	}
+	// check requires query i's answer to equal the sequential reference.
+	check := func(i int, resp *server.Response) {
+		switch i % mix {
+		case 0, 5:
+			wantValues(t, resp, ids, refDist)
+		case 2:
+			dst := uint32(g.NumVertices() - 1)
+			if resp.PairDist == nil || *resp.PairDist != refDist[dst] {
+				t.Fatalf("query %d: ppsp dist %v, want %d", i, resp.PairDist, refDist[dst])
+			}
+		case 3, 6:
+			wantValues(t, resp, ids, refCore)
 		}
 	}
 	type outcome struct {
@@ -118,7 +140,7 @@ func TestFaultDrill(t *testing.T) {
 	}
 	wg.Wait()
 
-	faulted, fellBack, panics, stalls := 0, 0, 0, 0
+	faulted, fellBack, panics, stalls, loopPanics := 0, 0, 0, 0, 0
 	for _, r := range results {
 		if r.status != 200 {
 			t.Fatalf("query %d (%s): status %d, error %q", r.i, r.resp.Algo, r.status, r.resp.Error)
@@ -127,6 +149,9 @@ func TestFaultDrill(t *testing.T) {
 		case graphit.FaultKindPanic:
 			faulted++
 			panics++
+			if isLoop(r.i) {
+				loopPanics++
+			}
 		case graphit.FaultKindStuck:
 			faulted++
 			stalls++
@@ -136,20 +161,10 @@ func TestFaultDrill(t *testing.T) {
 		}
 		// Every checked query's answer must equal the sequential reference,
 		// no matter which path produced it.
-		switch r.i % 5 {
-		case 0:
-			wantValues(t, r.resp, ids, refDist)
-		case 2:
-			dst := uint32(g.NumVertices() - 1)
-			if r.resp.PairDist == nil || *r.resp.PairDist != refDist[dst] {
-				t.Fatalf("query %d: ppsp dist %v, want %d", r.i, r.resp.PairDist, refDist[dst])
-			}
-		case 3:
-			wantValues(t, r.resp, ids, refCore)
-		}
+		check(r.i, r.resp)
 	}
-	if panics == 0 || fellBack == 0 {
-		t.Fatalf("drill saw %d panics, %d fallbacks — injection did not bite", panics, fellBack)
+	if panics == 0 || fellBack == 0 || loopPanics == 0 {
+		t.Fatalf("drill saw %d panics (%d in round loops), %d fallbacks — injection did not bite", panics, loopPanics, fellBack)
 	}
 	// Deterministic stall check: a fresh (algo, strategy) key whose breaker
 	// is closed, so the primary must run, hit the stall, trip the watchdog,
@@ -158,12 +173,42 @@ func TestFaultDrill(t *testing.T) {
 	st, resp := postQuery(t, ts, server.Query{
 		Algo: "sssp", Graph: "road", Src: 0, Strategy: "eager_no_fusion", Vertices: ids,
 	})
-	stallOnly.Store(false)
 	if st != 200 || resp.FaultKind != graphit.FaultKindStuck || !resp.Fallback {
 		t.Fatalf("stalled query: status %d resp %+v, want 200 with a stuck fault and fallback", st, resp)
 	}
 	wantValues(t, resp, ids, refDist)
 	stalls++
+	// The same for the round-loop algorithms, concurrently: each stall must
+	// trip the watchdog inside the loop's own envelope.
+	type stalled struct {
+		i      int
+		status int
+		resp   *server.Response
+	}
+	loopStalls := make([]stalled, 0, 3)
+	var swg sync.WaitGroup
+	var smu sync.Mutex
+	for i := 4; i < mix; i++ {
+		q := queries(i)
+		q.Strategy = "eager_no_fusion"
+		swg.Add(1)
+		go func(i int, q server.Query) {
+			defer swg.Done()
+			st, resp := postQuery(t, ts, q)
+			smu.Lock()
+			loopStalls = append(loopStalls, stalled{i, st, resp})
+			smu.Unlock()
+		}(i, q)
+	}
+	swg.Wait()
+	stallOnly.Store(false)
+	for _, r := range loopStalls {
+		if r.status != 200 || r.resp.FaultKind != graphit.FaultKindStuck || !r.resp.Fallback {
+			t.Fatalf("stalled %s query: status %d resp %+v, want 200 with a stuck fault and fallback", r.resp.Algo, r.status, r.resp)
+		}
+		check(r.i, r.resp)
+		stalls++
+	}
 	trips := int64(0)
 	for _, br := range statusOf(t, ts).Breakers {
 		trips += br.Trips
