@@ -31,26 +31,35 @@ func SSSPContext(ctx context.Context, g *graphit.Graph, src graphit.VertexID, sc
 	if err := checkWeighted(g); err != nil {
 		return nil, err
 	}
-	dist := initDist(g.NumVertices(), src)
-	op := &graphit.Ordered{
+	return runDeltaStepping(ctx, deltaSteppingOp(g, src), sched)
+}
+
+// deltaSteppingOp builds the ∆-stepping operator from src over a fresh
+// distance vector: the UDF from paper Figure 3, lines 7–10, which computes
+// the relaxed distance and lowers dst's priority to it. That UDF is the
+// canonical min-plus relaxation, so the operator declares RelaxMinPlus and
+// push rounds run the engine's inlined kernel.
+func deltaSteppingOp(g *graphit.Graph, src graphit.VertexID) *graphit.Ordered {
+	return &graphit.Ordered{
 		G:     g,
-		Prio:  dist,
+		Prio:  initDist(g.NumVertices(), src),
 		Order: graphit.LowerFirst,
-		// The UDF from paper Figure 3, lines 7–10: compute the relaxed
-		// distance and lower dst's priority to it.
 		Apply: func(s, d graphit.VertexID, w graphit.Weight, q *graphit.Queue) {
 			q.UpdatePriorityMin(d, q.Priority(s)+int64(w))
 		},
-		Sources: []graphit.VertexID{src},
+		RelaxMinPlus: true,
+		Sources:      []graphit.VertexID{src},
 	}
+}
+
+// runDeltaStepping runs op and wraps its distance vector, keeping the
+// partial result of a halted run.
+func runDeltaStepping(ctx context.Context, op *graphit.Ordered, sched graphit.Schedule) (*SSSPResult, error) {
 	st, err := graphit.RunOrderedContext(ctx, op, sched)
-	if err != nil {
-		if halted(ctx, err) {
-			return &SSSPResult{Dist: dist, Stats: st}, err
-		}
+	if err != nil && !halted(ctx, err) {
 		return nil, err
 	}
-	return &SSSPResult{Dist: dist, Stats: st}, nil
+	return &SSSPResult{Dist: op.Prio, Stats: st}, err
 }
 
 // WBFS computes weighted breadth-first search: ∆-stepping specialized to
@@ -78,26 +87,16 @@ func PPSPContext(ctx context.Context, g *graphit.Graph, src, dst graphit.VertexI
 	if err := checkWeighted(g); err != nil {
 		return nil, err
 	}
-	dist := initDist(g.NumVertices(), src)
-	op := &graphit.Ordered{
-		G:     g,
-		Prio:  dist,
-		Order: graphit.LowerFirst,
-		Apply: func(s, d graphit.VertexID, w graphit.Weight, q *graphit.Queue) {
-			q.UpdatePriorityMin(d, q.Priority(s)+int64(w))
-		},
-		Sources: []graphit.VertexID{src},
-		Stop: func(cur int64) bool {
-			best := graphit.AtomicLoad(&dist[dst])
-			return best != graphit.Unreached && cur >= best
-		},
+	return runDeltaStepping(ctx, ppspOp(g, src, dst), sched)
+}
+
+// ppspOp is deltaSteppingOp plus PPSP's early-termination condition.
+func ppspOp(g *graphit.Graph, src, dst graphit.VertexID) *graphit.Ordered {
+	op := deltaSteppingOp(g, src)
+	dist := op.Prio
+	op.Stop = func(cur int64) bool {
+		best := graphit.AtomicLoad(&dist[dst])
+		return best != graphit.Unreached && cur >= best
 	}
-	st, err := graphit.RunOrderedContext(ctx, op, sched)
-	if err != nil {
-		if halted(ctx, err) {
-			return &SSSPResult{Dist: dist, Stats: st}, err
-		}
-		return nil, err
-	}
-	return &SSSPResult{Dist: dist, Stats: st}, nil
+	return op
 }

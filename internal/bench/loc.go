@@ -24,17 +24,17 @@ func Table5() (*Table, error) {
 	}
 	// Map each algorithm to its DSL file and the Go function(s) a user
 	// would otherwise write (the library implementations in package algo;
-	// the Context variants hold the bodies, the plain names are one-line
-	// delegations).
+	// the Context variants and the helpers they build and run the operator
+	// with hold the bodies, the plain names are one-line delegations).
 	rows := []struct {
 		name    string
 		dslFile string
 		goFile  string
 		goFuncs []string
 	}{
-		{"SSSP", "sssp.gt", "algo/sssp.go", []string{"SSSPContext"}},
-		{"PPSP", "ppsp.gt", "algo/sssp.go", []string{"PPSPContext"}},
-		{"wBFS", "wbfs.gt", "algo/sssp.go", []string{"SSSPContext", "WBFSContext"}},
+		{"SSSP", "sssp.gt", "algo/sssp.go", []string{"SSSPContext", "deltaSteppingOp", "runDeltaStepping"}},
+		{"PPSP", "ppsp.gt", "algo/sssp.go", []string{"PPSPContext", "ppspOp", "deltaSteppingOp", "runDeltaStepping"}},
+		{"wBFS", "wbfs.gt", "algo/sssp.go", []string{"WBFSContext", "SSSPContext", "deltaSteppingOp", "runDeltaStepping"}},
 		{"A*", "astar.gt", "algo/astar.go", []string{"AStarContext"}},
 		{"k-core", "kcore.gt", "algo/kcore.go", []string{"KCoreContext"}},
 		{"SetCover", "setcover.gt", "algo/setcover.go", []string{"WeightedSetCoverContext"}},

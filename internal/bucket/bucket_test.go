@@ -244,6 +244,54 @@ func TestLocalBinsTakeOutOfRange(t *testing.T) {
 	}
 }
 
+// TestLocalBinsRecycleSteadyStateAllocs: a bin emptied by Take and handed back
+// with Recycle backs the next Insert into any empty bin, so a warmed bin
+// set refills without allocating; Reset recycles bins a run left behind.
+func TestLocalBinsRecycleSteadyStateAllocs(t *testing.T) {
+	lb := &LocalBins{}
+	for v := uint32(0); v < 100; v++ {
+		lb.Insert(3, v)
+	}
+	buf := lb.Take(3)
+	lb.Recycle(buf)
+	lb.Insert(7, 1)
+	if got := lb.Take(7); &got[0] != &buf[0] {
+		t.Fatal("Insert into an empty bin did not reuse the recycled buffer")
+	} else {
+		lb.Recycle(got)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		for v := uint32(0); v < 100; v++ {
+			lb.Insert(5, v)
+		}
+		lb.Recycle(lb.Take(5))
+	})
+	if allocs != 0 {
+		t.Errorf("warm insert/take/recycle cycle allocates %.0f times, want 0", allocs)
+	}
+	lb.Insert(2, 9)
+	lb.Reset()
+	if lb.MinNonEmpty(0) != NullBkt || len(lb.free) != 1 {
+		t.Fatalf("Reset left %d free buffers and min bin %d", len(lb.free), lb.MinNonEmpty(0))
+	}
+}
+
+// TestLocalBinsRecycleCapsRetainedBytes: the free list never retains more
+// than maxFreeBytes of buffer capacity; the excess goes to the GC.
+func TestLocalBinsRecycleCapsRetainedBytes(t *testing.T) {
+	lb := &LocalBins{}
+	for i := 0; i < 8; i++ {
+		lb.Recycle(make([]uint32, 0, maxFreeBytes/4/3))
+	}
+	if lb.freeBytes > maxFreeBytes || len(lb.free) != 3 {
+		t.Fatalf("free list holds %d buffers, %d bytes (cap %d)", len(lb.free), lb.freeBytes, maxFreeBytes)
+	}
+	lb.Recycle(nil)
+	if len(lb.free) != 3 {
+		t.Fatal("a nil buffer was put on the free list")
+	}
+}
+
 func TestLazyEmptyQueue(t *testing.T) {
 	l := NewLazy(5, Increasing, 4, func(uint32) int64 { return NullBkt })
 	if bid, _ := l.Next(); bid != NullBkt {

@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"graphit/internal/bucket"
+	"graphit/internal/gen"
 	"graphit/internal/parallel"
 )
 
@@ -76,6 +79,95 @@ func TestLazyPushSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state push round allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestEagerFusionSteadyStateAllocs: a warmed eager_with_fusion engine
+// replays its rounds without touching the heap, at 1 and 2 workers. Two
+// replays: the converged one re-extracts a frontier and sweeps it with
+// every relaxation losing (bin gather, pooled parallel region, min-plus
+// kernel); the reopened one resets the far half of the distances and
+// drains the engine again, so wins, bin inserts and fused iterations all
+// run on recycled bin buffers.
+func TestEagerFusionSteadyStateAllocs(t *testing.T) {
+	g, err := gen.Road(gen.RoadOptions{Rows: 40, Cols: 40, DeleteFrac: 0.1, DiagFrac: 0.05, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Delta = 256
+			cfg.Workers = w
+			op, dist := ssspOp(g, 0, cfg)
+			op.RelaxMinPlus = true
+			op.Cfg.normalize()
+			active, err := op.initialActive()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := parallel.NewExecutor(w)
+			defer ex.Close()
+			e := op.buildEngine(new(scratch), ex, active, &runCtl{})
+			var st Stats
+			if fault, err := e.run(context.Background(), NopTracer{}, &st); fault != nil || err != nil {
+				t.Fatalf("warmup run: fault=%v err=%v", fault, err)
+			}
+			src := e.src.(*eagerBins)
+			converged := append([]int64(nil), dist...)
+			median := converged[len(converged)/2]
+			reopened := append([]int64(nil), converged...)
+			for v, d := range reopened {
+				if d > median {
+					reopened[v] = Unreached
+				}
+			}
+			// drain replays the engine's round loop from the seeded bins.
+			drain := func(prio []int64, seed func(v int, d int64) bool) {
+				copy(dist, prio)
+				src.cur = 0
+				for v, d := range prio {
+					if seed(v, d) {
+						src.bins[v%w].Insert(op.bucketOf(d), uint32(v))
+					}
+				}
+				for {
+					e.bid, e.frontier = src.next()
+					if e.bid == bucket.NullBkt {
+						return
+					}
+					e.relax(&st)
+				}
+			}
+			replays := map[string]func(){
+				"converged": func() {
+					drain(converged, func(v int, d int64) bool { return v%7 == 0 })
+				},
+				"reopened": func() {
+					drain(reopened, func(v int, d int64) bool { return d <= median })
+				},
+			}
+			for name, replay := range replays {
+				// Warm the free lists for this replay's shape: a recycled
+				// buffer may back a bigger bin than last time and grow, so
+				// capacities settle over a few replays.
+				for i := 0; i < 50; i++ {
+					replay()
+				}
+				allocs := testing.AllocsPerRun(20, replay)
+				if allocs != 0 {
+					t.Errorf("%s replay allocates %.0f times per run, want 0", name, allocs)
+				}
+				for v := range dist {
+					if dist[v] != converged[v] {
+						t.Fatalf("%s replay: dist[%d] = %d, want %d", name, v, dist[v], converged[v])
+					}
+				}
+			}
+			if st.FusedRounds == 0 {
+				t.Fatal("no fused iterations: the replays did not exercise fusion")
+			}
+		})
 	}
 }
 

@@ -265,6 +265,16 @@ type Ordered struct {
 	Order bucket.Order
 	// Apply is the edge UDF. Not used by LazyConstantSum.
 	Apply EdgeFunc
+	// RelaxMinPlus declares that Apply is exactly the canonical ∆-stepping
+	// relaxation — prio[d] = min(prio[d], prio[s]+w) on a lower_first queue
+	// with no finished-vertex filtering — letting SparsePush rounds (eager
+	// and lazy) run an inlined kernel instead of calling Apply per edge: the
+	// source priority is loaded once per vertex and the min-update and its
+	// bucket insert are inlined. This is the specialization the GraphIt
+	// compiler would emit for the Figure 3 UDF; the interpreter takes it as
+	// a declaration. Pull rounds, FinalizeOnPop operators and the relaxed
+	// engine still call Apply, so it must stay equivalent.
+	RelaxMinPlus bool
 	// SumConst is the constant priority delta for LazyConstantSum (e.g. -1
 	// for k-core); the engine applies prio += SumConst*count per round.
 	SumConst int64

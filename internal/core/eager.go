@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"graphit/internal/atomicutil"
 	"graphit/internal/bucket"
 	"graphit/internal/parallel"
@@ -32,7 +30,9 @@ func (e *eagerBins) next() (int64, []uint32) {
 	}
 	fr := e.sc.frontier[:0]
 	for _, b := range e.bins {
-		fr = append(fr, b.Take(nb)...)
+		buf := b.Take(nb)
+		fr = append(fr, buf...)
+		b.Recycle(buf)
 	}
 	e.sc.frontier = fr
 	e.cur = nb
@@ -47,12 +47,20 @@ func (e *eagerBins) finish(st *Stats) {
 	}
 }
 
-// eagerPush is the SparsePush traversal over eager bins: workers drain
-// dynamic chunks of the shared frontier, relaxing out-edges with atomic
-// write-min into their own bins, then (for eager_with_fusion) keep
-// processing their current-priority local bin while it stays under the
-// fusion threshold, without any global synchronization (Figure 7, lines
-// 14–21).
+// eagerPush is the SparsePush traversal over eager bins: workers relax the
+// out-edges of the shared frontier with atomic write-min into their own
+// bins, then (for eager_with_fusion) keep processing their current-priority
+// local bin while it stays under the fusion threshold, without any global
+// synchronization (Figure 7, lines 14–21).
+//
+// Each worker owns one contiguous slab of the frontier. Fusion keeps a
+// worker's new work in its own bins, so the initial split decides how the
+// whole fused chain divides: with a shared chunk cursor the calling worker
+// claims nearly the entire frontier before a parked helper wakes and then
+// fuses alone. A slab waits for its owner instead, so a late helper still
+// gets its share and fuses its own wavefront. There is no stealing: taking
+// another slab's chunks before fusing re-serializes the round onto the
+// caller, and after fusing it measured slower with two concurrent runs.
 type eagerPush struct {
 	o      *Ordered
 	ex     *parallel.Executor
@@ -61,54 +69,66 @@ type eagerPush struct {
 	fusion bool
 	grain  int
 	ctl    *runCtl
-	cursor atomic.Int64
+
+	// The round in flight; body is the sweep, built once so a round
+	// allocates nothing.
+	bid      int64
+	frontier []uint32
+	body     func(worker int)
 }
 
 func (t *eagerPush) relax(bid, curPrio int64, frontier []uint32) ([]uint32, bool, bool) {
-	o := t.o
-	t.cursor.Store(0)
-	fsize := len(frontier)
-	t.ex.Run(func(worker int) {
-		u := t.ups[worker]
-		for {
-			if t.ctl.checkpoint(PhaseRelaxChunk, worker) {
-				return
-			}
-			lo := int(t.cursor.Add(int64(t.grain))) - t.grain
-			if lo >= fsize {
-				break
-			}
-			hi := lo + t.grain
-			if hi > fsize {
-				hi = fsize
-			}
-			for _, v := range frontier[lo:hi] {
-				o.processPush(v, bid, u)
-			}
-		}
-		if t.fusion {
-			my := t.bins[worker]
-			for {
-				// The fusion checkpoint also breaks fusion livelocks: a UDF
-				// that keeps re-inserting into the current bucket spins here
-				// without ever reaching a global barrier, so this is the
-				// only point a watchdog abort can interrupt it.
-				if t.ctl.checkpoint(PhaseFusion, worker) {
-					return
-				}
-				sz := my.Len(bid)
-				if sz == 0 || sz > o.Cfg.FusionThreshold {
-					break
-				}
-				mine := my.Take(bid)
-				u.fused++
-				for _, v := range mine {
-					o.processPush(v, bid, u)
-				}
-			}
-		}
-	})
+	if t.body == nil {
+		t.body = t.sweep
+	}
+	t.bid, t.frontier = bid, frontier
+	t.ex.Run(t.body)
+	t.frontier = nil
 	return nil, false, t.ctl.aborted() != abortNone
+}
+
+// sweep is one worker's share of a round: its slab [w·F/W, (w+1)·F/W) of
+// the frontier in grain-sized chunks, then its fused chain.
+func (t *eagerPush) sweep(worker int) {
+	o, bid := t.o, t.bid
+	u := t.ups[worker]
+	minPlus := u.minPlus()
+	f, w := len(t.frontier), len(t.ups)
+	hi := (worker + 1) * f / w
+	for lo := worker * f / w; ; lo += t.grain {
+		if t.ctl.checkpoint(PhaseRelaxChunk, worker) {
+			return
+		}
+		if lo >= hi {
+			break
+		}
+		for _, v := range t.frontier[lo:min(lo+t.grain, hi)] {
+			o.processPush(v, bid, u, minPlus)
+		}
+	}
+	if !t.fusion {
+		return
+	}
+	my := t.bins[worker]
+	for {
+		// The fusion checkpoint also breaks fusion livelocks: a UDF that
+		// keeps re-inserting into the current bucket spins here without
+		// ever reaching a global barrier, so this is the only point a
+		// watchdog abort can interrupt it.
+		if t.ctl.checkpoint(PhaseFusion, worker) {
+			return
+		}
+		sz := my.Len(bid)
+		if sz == 0 || sz > o.Cfg.FusionThreshold {
+			return
+		}
+		mine := my.Take(bid)
+		u.fused++
+		for _, v := range mine {
+			o.processPush(v, bid, u, minPlus)
+		}
+		my.Recycle(mine)
+	}
 }
 
 // eagerPull is the DensePull traversal over eager bins: a serial mark of
@@ -154,9 +174,11 @@ func (t *eagerPull) relax(bid, curPrio int64, frontier []uint32) ([]uint32, bool
 
 // processPush applies the UDF to the out-edges of v if v still belongs to
 // the current bucket (GAPBS's stale-entry filter) and, under FinalizeOnPop,
-// has not already been processed.
-func (o *Ordered) processPush(v uint32, curBin int64, u *Updater) {
-	b := o.bucketOf(atomicutil.Load(&o.Prio[v]))
+// has not already been processed. With minPlus (see Updater.minPlus) it
+// runs the inlined min-plus kernel instead of calling Apply per edge.
+func (o *Ordered) processPush(v uint32, curBin int64, u *Updater, minPlus bool) {
+	p := atomicutil.Load(&o.Prio[v])
+	b := o.bucketOf(p)
 	if b == bucket.NullBkt || b < curBin {
 		return // stale: already handled in an earlier bucket
 	}
@@ -167,6 +189,27 @@ func (o *Ordered) processPush(v uint32, curBin int64, u *Updater) {
 	g := o.G
 	neigh := g.OutNeigh(v)
 	wts := g.OutWts(v)
+	if minPlus {
+		// Apply → UpdatePriorityMin → record, inlined: the source priority
+		// is loaded once, and a win lands in the worker's bins with the
+		// same inversion clamp record applies.
+		u.relaxations += int64(len(neigh))
+		for i, d := range neigh {
+			np := p
+			if wts != nil {
+				np += int64(wts[i])
+			}
+			if atomicutil.WriteMin(&o.Prio[d], np) {
+				nb := o.bucketOf(np)
+				if nb < curBin {
+					nb = curBin
+					u.inversions++
+				}
+				u.bins.Insert(nb, d)
+			}
+		}
+		return
+	}
 	for i, d := range neigh {
 		var wt int32
 		if wts != nil {

@@ -124,6 +124,10 @@ func (t *lazyTrav) pushRound(verts []uint32) []uint32 {
 			o := t.o
 			g := o.G
 			u := t.ups[worker]
+			if u.minPlus() {
+				t.pushMinPlus(t.curVerts[lo:hi], u)
+				return
+			}
 			for _, v := range t.curVerts[lo:hi] {
 				u.processed++
 				neigh := g.OutNeigh(v)
@@ -152,6 +156,32 @@ func (t *lazyTrav) pushRound(verts []uint32) []uint32 {
 		t.dedup.ResetList(updated)
 	}
 	return updated
+}
+
+// pushMinPlus is pushRound's sweep for RelaxMinPlus operators: Apply →
+// UpdatePriorityMin → record inlined, with the source priority loaded once
+// per vertex and each win deduplicated straight into the worker's buffer.
+func (t *lazyTrav) pushMinPlus(verts []uint32, u *Updater) {
+	o := t.o
+	g := o.G
+	out := u.out
+	for _, v := range verts {
+		u.processed++
+		p := atomicutil.Load(&o.Prio[v])
+		neigh := g.OutNeigh(v)
+		wts := g.OutWts(v)
+		u.relaxations += int64(len(neigh))
+		for i, d := range neigh {
+			np := p
+			if wts != nil {
+				np += int64(wts[i])
+			}
+			if atomicutil.WriteMin(&o.Prio[d], np) && (u.dedup == nil || u.dedup.TrySet(d)) {
+				out = append(out, d)
+			}
+		}
+	}
+	u.out = out
 }
 
 // pullRound applies the UDF over the in-edges of all vertices against a

@@ -44,13 +44,12 @@ type MultiOrdered struct {
 	// relaxation — dist[d] = min(dist[d], dist[s]+w) with no finished-vertex
 	// filtering — letting push rounds run a fused lane-batched kernel instead
 	// of calling Apply per (edge, lane): the consumed source priority is
-	// hoisted out of the edge sweep and the min-update is inlined, which is
-	// where a shared run beats k independent ones (the generic path pays two
-	// indirect calls and a redundant atomic source load per lane per edge).
-	// This is the specialization the GraphIt compiler would emit for the
-	// Figure 3 UDF; the interpreter takes it as a declaration. Pull rounds
-	// and all single-source engines still call Apply, so it must stay
-	// equivalent.
+	// hoisted out of the edge sweep and the min-update is inlined, saving
+	// two indirect calls and a redundant atomic source load per lane per
+	// edge. This is the specialization the GraphIt compiler would emit for
+	// the Figure 3 UDF; the interpreter takes it as a declaration.
+	// Ordered.RelaxMinPlus is the single-source counterpart. Pull rounds
+	// still call Apply, so it must stay equivalent.
 	RelaxMinPlus bool
 	// Stops holds optional per-lane early-termination conditions: nil, or one
 	// entry per lane (entries may be nil). A stopped lane does no further edge

@@ -59,6 +59,16 @@ func (u *Updater) Priority(v graph.VertexID) int64 {
 	return atomicutil.Load(&u.o.Prio[v])
 }
 
+// minPlus reports whether push sweeps may replace Apply with the engine's
+// inlined min-plus kernel for this updater: the operator declares
+// RelaxMinPlus, and nothing Apply's path would add is in play — no
+// finalized-vertex filter, no relaxed-engine sink, no multi-source lane
+// marks, and the round writes priorities atomically (push, not pull).
+func (u *Updater) minPlus() bool {
+	o := u.o
+	return o.RelaxMinPlus && o.fin == nil && u.sink == nil && u.pend == nil && u.atomics
+}
+
 // record routes a successful priority change of v (new coarsened value p)
 // into the schedule's bucket sink.
 func (u *Updater) record(v graph.VertexID, newPrio int64) {

@@ -49,12 +49,18 @@ func (c *panicCell) capture(r any, worker int) {
 	c.mu.Unlock()
 }
 
-// rethrow re-raises the recorded panic, if any, on the caller.
-func (c *panicCell) rethrow() {
+// take returns the recorded panic, if any, and empties the cell for reuse.
+func (c *panicCell) take() *Panic {
 	c.mu.Lock()
 	p := c.p
+	c.p = nil
 	c.mu.Unlock()
-	if p != nil {
+	return p
+}
+
+// rethrow re-raises the recorded panic, if any, on the caller.
+func (c *panicCell) rethrow() {
+	if p := c.take(); p != nil {
 		panic(p)
 	}
 }
@@ -104,6 +110,13 @@ type Executor struct {
 // finalizer close the workers down) even while they are parked.
 type execShared struct {
 	wg sync.WaitGroup
+	// fn is the body of the pooled invocation in flight and cell records
+	// its first panic; run is the protected trampoline the workers are
+	// handed, built once so a pooled invocation allocates nothing. All three
+	// are guarded by the invocation lock (Executor.mu).
+	fn   func(worker int)
+	cell panicCell
+	run  func(worker int)
 }
 
 // NewExecutor returns an executor with w persistent workers. w <= 0 sizes
@@ -115,7 +128,9 @@ func NewExecutor(w int) *Executor {
 	}
 	e := &Executor{w: w}
 	if w > 1 {
-		e.sh = &execShared{}
+		sh := &execShared{}
+		sh.run = protect(func(worker int) { sh.fn(worker) }, &sh.cell)
+		e.sh = sh
 		e.chs = make([]chan func(worker int), w-1)
 		for i := range e.chs {
 			// Buffer 1 so dispatch never blocks on worker wakeup: the
@@ -221,16 +236,20 @@ func (e *Executor) Run(fn func(worker int)) {
 		spawnRun(e.w, fn)
 		return
 	}
-	var cell panicCell
-	wrapped := protect(fn, &cell)
-	e.sh.wg.Add(e.w - 1)
+	sh := e.sh
+	sh.fn = fn
+	sh.wg.Add(e.w - 1)
 	for _, ch := range e.chs {
-		ch <- wrapped
+		ch <- sh.run
 	}
-	wrapped(0)
-	e.sh.wg.Wait()
+	sh.run(0)
+	sh.wg.Wait()
+	sh.fn = nil
+	p := sh.cell.take()
 	e.mu.Unlock()
-	cell.rethrow()
+	if p != nil {
+		panic(p)
+	}
 }
 
 // ForChunks divides [0, n) into chunks of at most grain iterations and

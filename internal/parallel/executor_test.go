@@ -256,6 +256,24 @@ func TestExecutorRunPanicContained(t *testing.T) {
 	}
 }
 
+// TestExecutorRunSteadyStateAllocs: a pooled Run with a pre-built body
+// allocates nothing, also after a contained panic — the per-round
+// dispatch and join the eager engine pays must not feed the GC.
+func TestExecutorRunSteadyStateAllocs(t *testing.T) {
+	e := NewExecutor(2)
+	defer e.Close()
+	var hits [2]atomic.Int64
+	body := func(worker int) { hits[worker].Add(1) }
+	mustPanic(t, func() { e.Run(func(int) { panic("boom") }) })
+	allocs := testing.AllocsPerRun(100, func() { e.Run(body) })
+	if allocs != 0 {
+		t.Errorf("pooled Run allocates %.0f times, want 0", allocs)
+	}
+	if hits[0].Load() != hits[1].Load() || hits[0].Load() == 0 {
+		t.Fatalf("workers ran %d and %d times", hits[0].Load(), hits[1].Load())
+	}
+}
+
 // TestExecutorPanicAllWorkers: every worker panicking at once still joins
 // cleanly and surfaces exactly one panic.
 func TestExecutorPanicAllWorkers(t *testing.T) {

@@ -13,48 +13,7 @@
 // goroutines instead of spawning. There is no process-wide worker count.
 package parallel
 
-import "sync"
-
 // DefaultGrain is the default number of iterations handed to a worker at a
 // time by dynamic scheduling. It matches the "dynamic, 64" OpenMP schedule
 // used by the generated code in the paper (Figure 9(c), line 15).
 const DefaultGrain = 64
-
-// Barrier is a reusable cyclic barrier for n participants, the analogue of
-// "#pragma omp barrier" in the paper's generated eager code.
-type Barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	n     int
-	count int
-	phase uint64
-}
-
-// NewBarrier returns a barrier for n participants. n must be positive.
-func NewBarrier(n int) *Barrier {
-	if n <= 0 {
-		panic("parallel: barrier size must be positive")
-	}
-	b := &Barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// Wait blocks until all n participants have called Wait, then releases them.
-// The barrier resets automatically for reuse.
-func (b *Barrier) Wait() {
-	b.mu.Lock()
-	phase := b.phase
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.phase++
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return
-	}
-	for phase == b.phase {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
-}

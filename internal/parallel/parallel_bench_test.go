@@ -2,8 +2,8 @@ package parallel
 
 import "testing"
 
-// Micro-benchmarks for the parallel substrate: loop dispatch, barrier
-// crossings (the per-round synchronization cost that bucket fusion
+// Micro-benchmarks for the parallel substrate: loop dispatch, parallel
+// region joins (the per-round synchronization cost that bucket fusion
 // eliminates), and scans.
 
 func BenchmarkForChunksDispatch(b *testing.B) {
@@ -22,16 +22,18 @@ func BenchmarkForChunksDispatch(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkBarrierCrossing(b *testing.B) {
+// BenchmarkRunJoin measures one pooled parallel region: dispatch to the
+// parked workers plus the join, the per-round synchronization a fused
+// eager round avoids.
+func BenchmarkRunJoin(b *testing.B) {
 	e := NewExecutor(4)
 	defer e.Close()
-	bar := NewBarrier(e.Workers())
+	body := func(worker int) {}
+	b.ReportAllocs()
 	b.ResetTimer()
-	e.Run(func(worker int) {
-		for i := 0; i < b.N; i++ {
-			bar.Wait()
-		}
-	})
+	for i := 0; i < b.N; i++ {
+		e.Run(body)
+	}
 }
 
 func BenchmarkPrefixSum(b *testing.B) {

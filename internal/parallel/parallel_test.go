@@ -78,37 +78,6 @@ func TestRunExecutesEveryWorkerOnce(t *testing.T) {
 	}
 }
 
-func TestBarrierPhases(t *testing.T) {
-	const workers = 4
-	const rounds = 50
-	b := NewBarrier(workers)
-	var counter atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	fail := atomic.Bool{}
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				counter.Add(1)
-				b.Wait()
-				// After the barrier, all workers of round r incremented.
-				if c := counter.Load(); c < int64((r+1)*workers) {
-					fail.Store(true)
-				}
-				b.Wait()
-			}
-		}()
-	}
-	wg.Wait()
-	if fail.Load() {
-		t.Fatal("barrier released a worker before all arrived")
-	}
-	if counter.Load() != int64(workers*rounds) {
-		t.Fatalf("counter = %d, want %d", counter.Load(), workers*rounds)
-	}
-}
-
 func TestPrefixSumMatchesSerial(t *testing.T) {
 	e := NewExecutor(testWorkers)
 	defer e.Close()

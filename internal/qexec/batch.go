@@ -321,7 +321,10 @@ func (p *Pipeline) routeMulti(ctx context.Context, lanes []*batchLane, outs []*O
 		out.FaultKind = faultKind
 		out.Fallback = fallback
 		if res != nil && i < len(res) && res[i] != nil {
-			out.Stats = &res[i].Stats
+			// A copy, as in route: the cached outcome must not pin the
+			// lane's result vector.
+			st := res[i].Stats
+			out.Stats = &st
 		}
 		switch {
 		case err == nil:

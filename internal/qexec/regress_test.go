@@ -1,15 +1,20 @@
 package qexec
 
-// Regression tests for the three ISSUE 7 bugfixes: a panicking coalesced
-// leader poisoning its flight key, execute() leaking a child context, and
-// admission racing a drain close against a freed slot.
+// Regression tests for pipeline bugfixes: a panicking coalesced leader
+// poisoning its flight key, execute() leaking a child context, admission
+// racing a drain close against a freed slot, and a cached outcome pinning
+// the engine's result vector.
 
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"graphit"
+	"graphit/algo"
 )
 
 // TestFlightLeaderPanicRecovers proves the coalescer survives a leader
@@ -210,6 +215,88 @@ func TestAdmissionDrainStress(t *testing.T) {
 		}
 		if _, err := a.acquire(context.Background()); !errors.Is(err, ErrDraining) {
 			t.Fatalf("iter %d: acquire after drain: %v, want ErrDraining", iter, err)
+		}
+	}
+}
+
+// TestCachedOutcomeDoesNotPinResultVector: a cached answer holds its summary
+// and a copy of the run's Stats, never a pointer into the engine's result,
+// so the result vector is collectable while the entry stays cached — on
+// the single-source path and on the batched multi-source path. (Pointing
+// Outcome.Stats into the QueryResult kept every cached answer's whole
+// distance vector alive.)
+func TestCachedOutcomeDoesNotPinResultVector(t *testing.T) {
+	p := newTestPipeline(t, Config{CacheEntries: 16})
+	sp, err := algo.Lookup("sssp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{}, 3) // one per tracked result vector
+	track := func(res *algo.QueryResult) {
+		runtime.SetFinalizer(&res.Values[0], func(*int64) { freed <- struct{}{} })
+	}
+	traced := *sp
+	traced.Run = func(ctx context.Context, g *graphit.Graph, src, dst graphit.VertexID, sched graphit.Schedule) (*algo.QueryResult, error) {
+		res, err := sp.Run(ctx, g, src, dst, sched)
+		if err == nil {
+			track(res)
+		}
+		return res, err
+	}
+	traced.RunMulti = func(ctx context.Context, g *graphit.Graph, srcs, dsts []graphit.VertexID, sched graphit.Schedule) ([]*algo.QueryResult, error) {
+		res, err := sp.RunMulti(ctx, g, srcs, dsts, sched)
+		if err == nil {
+			for _, r := range res {
+				track(r)
+			}
+		}
+		return res, err
+	}
+	plan := func(src uint32) *Plan {
+		pl, err := p.plan(&Request{Algo: "sssp", Graph: "road", Src: src, Strategy: "lazy"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(pl.Snap.Release)
+		pl.Spec = &traced
+		return pl
+	}
+	awaitFreed := func(what string, n int) {
+		t.Helper()
+		for i := 0; n > 0 && i < 100; i++ {
+			runtime.GC()
+			select {
+			case <-freed:
+				n--
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		if n > 0 {
+			t.Fatalf("%s: %d result vectors still reachable after GC", what, n)
+		}
+	}
+
+	single := plan(3)
+	if out := p.execute(context.Background(), single, false, &execTrace{}); out.Code != CodeOK || out.Stats == nil {
+		t.Fatalf("single run: code %v stats %v err %v", out.Code, out.Stats, out.Err)
+	}
+	awaitFreed("single-source run", 1)
+
+	lanes := []*batchLane{{pl: plan(5)}, {pl: plan(9)}}
+	for _, out := range p.executeBatch(context.Background(), lanes, &execTrace{}) {
+		if out.Code != CodeOK || out.Stats == nil {
+			t.Fatalf("batched run: code %v stats %v err %v", out.Code, out.Stats, out.Err)
+		}
+	}
+	awaitFreed("batched run", 2)
+
+	for _, pl := range []*Plan{single, lanes[0].pl, lanes[1].pl} {
+		out, ok := p.cached(pl)
+		if !ok {
+			t.Fatalf("src %d: answer not cached", pl.Src)
+		}
+		if out.Stats == nil || out.Stats.Relaxations == 0 {
+			t.Fatalf("src %d: cached stats %+v", pl.Src, out.Stats)
 		}
 	}
 }

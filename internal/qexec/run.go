@@ -160,7 +160,10 @@ func (p *Pipeline) route(ctx context.Context, pl *Plan, out *Outcome) {
 	}
 	out.Breaker = p.breakers.State(key).String()
 	if res != nil {
-		out.Stats = &res.Stats
+		// A copy: pointing into res would keep its whole result vector
+		// alive for as long as the outcome stays cached.
+		st := res.Stats
+		out.Stats = &st
 	}
 
 	switch {
